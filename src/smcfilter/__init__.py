@@ -11,7 +11,7 @@ from .core import (
     weighted_mean,
 )
 from .filter import FilterState, GaussianPrior, InvalidPrior, StepOutcome
-from .models import ConstantVelocity2D, DimensionMismatch, RandomWalk1D
+from .models import ConstantVelocity2D, DimensionMismatch, NonFiniteMeasurement, RandomWalk1D
 from .resampling import (
     NotNormalized,
     ResamplePolicy,
@@ -31,6 +31,7 @@ __all__ = [
     "FilterState",
     "GaussianPrior",
     "InvalidPrior",
+    "NonFiniteMeasurement",
     "NotNormalized",
     "ParticleSet",
     "RandomWalk1D",

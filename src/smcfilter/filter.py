@@ -137,8 +137,10 @@ def _advance(state: FilterState, z, noises: np.ndarray, u, resample_u) -> StepOu
     # Prediction: every particle moves through the motion model.
     predicted = propagate(model, pset.particles, noises, u)
 
-    # Weight update and normalization, all in the log domain.
-    log_w = pset.log_weights + log_likelihood(model, z, predicted)
+    # Weight update and normalization, all in the log domain. The update adds
+    # into the likelihood's fresh array instead of allocating another.
+    log_w = log_likelihood(model, z, predicted)
+    log_w += pset.log_weights
     degenerate = False
     try:
         weights = normalize_weights(log_w)
@@ -157,7 +159,7 @@ def _advance(state: FilterState, z, noises: np.ndarray, u, resample_u) -> StepOu
             indices = systematic_resample(weights, offset)
         else:
             indices = multinomial_resample(weights, state.rng)
-        predicted = predicted[indices]
+        predicted = np.take(predicted, indices, axis=0)
         log_w = np.full(n, -np.log(n))
 
     state.set = ParticleSet(predicted, log_w, generation=pset.generation + 1)
@@ -181,8 +183,8 @@ def step(state: FilterState, z, u=None) -> StepOutcome:
     estimate is computed after any resampling.
     """
     pset = state.set
-    scale = np.sqrt(state.model.process_var)
-    noises = state.rng.standard_normal((pset.n_particles, pset.dim)) * scale
+    noises = state.rng.standard_normal((pset.n_particles, pset.dim))
+    noises *= np.sqrt(state.model.process_var)
     return _advance(state, z, noises, u, resample_u=None)
 
 

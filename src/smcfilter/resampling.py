@@ -19,8 +19,9 @@ class NotNormalized(ValueError):
 class ResamplePolicy:
     """When and how to resample: fire when n_eff < threshold_fraction * N.
 
-    threshold_fraction 0 disables resampling entirely; 1 resamples
-    unconditionally on every step.
+    The comparison is strict, so threshold_fraction 0 disables resampling
+    entirely and 1 fires whenever n_eff < N: a single particle, or exactly
+    uniform weights, never resample.
     """
 
     scheme: str = "systematic"
@@ -37,8 +38,10 @@ class ResamplePolicy:
 
 def _checked(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-6:
-        raise NotNormalized(f"weights sum to {w.sum()!r}, expected 1")
+    total = w.sum()
+    # written so that a NaN sum fails too
+    if not abs(total - 1.0) <= 1e-6:
+        raise NotNormalized(f"weights sum to {total!r}, expected 1")
     return w
 
 
@@ -67,7 +70,7 @@ def systematic_resample(weights, u: float) -> np.ndarray:
     np.minimum(positions, np.nextafter(1.0, 0.0), out=positions)
     cumsum = np.cumsum(w)
     cumsum[-1] = 1.0
-    return np.searchsorted(cumsum, positions, side="right").astype(np.intp)
+    return np.searchsorted(cumsum, positions, side="right")
 
 
 def multinomial_resample(weights, rng: RngStream) -> np.ndarray:
@@ -81,8 +84,11 @@ def multinomial_resample(weights, rng: RngStream) -> np.ndarray:
     cumsum = np.cumsum(w)
     cumsum[-1] = 1.0
     draws = rng.uniform(n)
-    indices = np.searchsorted(cumsum, draws, side="right").astype(np.intp)
-    return np.sort(indices)
+    # searchsorted is monotone in its key, so sorting the draws first gives
+    # the same indices as sorting the result, and the ordered lookups are
+    # cheaper.
+    draws.sort()
+    return np.searchsorted(cumsum, draws, side="right")
 
 
 def should_resample(policy: ResamplePolicy, n_eff: float, n: int) -> bool:

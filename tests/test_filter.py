@@ -10,7 +10,7 @@ from smcfilter.filter import (
     step,
     step_with_injected_noise,
 )
-from smcfilter.models import DimensionMismatch, RandomWalk1D
+from smcfilter.models import DimensionMismatch, NonFiniteMeasurement, RandomWalk1D
 from smcfilter.resampling import ResamplePolicy, effective_sample_size
 
 RW = RandomWalk1D(q=1.0, r=4.0)
@@ -162,6 +162,21 @@ class TestStep:
         state = make_state(GOLDEN_K1["initial"])
         state.set.log_weights[:] = -np.inf
         outcome = step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+        assert outcome.degenerate is True
+        np.testing.assert_allclose(state.set.weights, 0.2, atol=1e-12)
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+    def test_non_finite_measurement_rejected_before_update(self, z):
+        state = init(RW, GaussianPrior([0.0], [2.0]), 20, RngStream(4))
+        before = state.set
+        with pytest.raises(NonFiniteMeasurement):
+            step(state, z)
+        assert state.set is before
+
+    def test_measurement_beyond_every_particle_collapses_with_flag(self):
+        # every squared residual overflows: all weights are exactly 0
+        state = make_state(GOLDEN_K1["initial"])
+        outcome = step_with_injected_noise(state, 1e200, GOLDEN_K1["noises"])
         assert outcome.degenerate is True
         np.testing.assert_allclose(state.set.weights, 0.2, atol=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from smcfilter.core import RngStream
 from smcfilter.models import (
     ConstantVelocity2D,
     DimensionMismatch,
+    NonFiniteMeasurement,
     RandomWalk1D,
     log_likelihood,
     predict_measurement,
@@ -164,6 +166,21 @@ class TestLogLikelihood:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             log_likelihood(CV, [1.0], [0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "model, z", [(RW, np.nan), (RW, np.inf), (CV, [0.0, -np.inf]), (CV, [np.nan, 1.0])]
+    )
+    def test_non_finite_measurement_rejected(self, model, z):
+        with pytest.raises(NonFiniteMeasurement):
+            log_likelihood(model, z, np.zeros((3, model.state_dim)))
+
+    def test_overflowing_residual_gives_minus_inf_silently(self):
+        # the squared residual overflows; -inf (weight 0) is the correct limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll = log_likelihood(RW, 1e200, [[0.0], [1e200]])
+        assert ll[0] == -np.inf
+        assert ll[1] == pytest.approx(-0.5 * math.log(2 * math.pi * 4.0), abs=1e-12)
 
 
 class TestNoiseSampling:

@@ -54,6 +54,12 @@ class TestEffectiveSampleSize:
         with pytest.raises(NotNormalized):
             effective_sample_size(np.array([0.5, 0.6]))
 
+    def test_rejects_nan_weights(self):
+        with pytest.raises(NotNormalized):
+            effective_sample_size(np.array([0.5, np.nan]))
+        with pytest.raises(NotNormalized):
+            systematic_resample(np.array([np.nan, 0.5]), 0.5)
+
     @given(weight_vectors())
     def test_bounds(self, w):
         n_eff = effective_sample_size(w)
