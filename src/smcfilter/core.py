@@ -107,11 +107,32 @@ class ParticleSet:
         return np.exp(self.log_weights)
 
     @classmethod
+    def _trusted(cls, particles: np.ndarray, log_weights: np.ndarray, generation: int):
+        """Build a set without validation, from arrays the caller has built
+        in the required form: (N, n) finite particles, (N,) log-weights."""
+        pset = cls.__new__(cls)
+        pset.particles = particles
+        pset.log_weights = log_weights
+        pset.generation = generation
+        return pset
+
+    @classmethod
     def uniform(cls, particles, generation: int = 0) -> "ParticleSet":
         """Build a set with equal weights 1/N."""
         arr = np.asarray(particles, dtype=float)
         n = arr.shape[0]
         return cls(arr, np.full(n, -np.log(n)), generation)
+
+
+def _max_shift(log_weights) -> tuple[np.ndarray, float]:
+    """The log-weights as a float array and their maximum, the shift."""
+    lw = np.asarray(log_weights, dtype=float)
+    if lw.size < 1:
+        raise ValueError("need at least one log-weight")
+    m = lw.max()
+    if m == -np.inf:
+        raise AllWeightsCollapsed("all log-weights are -inf")
+    return lw, m
 
 
 def normalize_weights(log_weights) -> np.ndarray:
@@ -121,14 +142,11 @@ def normalize_weights(log_weights) -> np.ndarray:
     largest term is exp(0) and underflow can never zero out the whole
     vector; the result always sums to 1 up to float rounding.
     """
-    lw = np.asarray(log_weights, dtype=float)
-    if lw.size < 1:
-        raise ValueError("need at least one log-weight")
-    m = np.max(lw)
-    if m == -np.inf:
-        raise AllWeightsCollapsed("all log-weights are -inf")
-    shifted = np.exp(lw - m)
-    return shifted / shifted.sum()
+    lw, m = _max_shift(log_weights)
+    w = lw - m
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
 def normalized_log_weights(log_weights) -> np.ndarray:
@@ -137,13 +155,10 @@ def normalized_log_weights(log_weights) -> np.ndarray:
     Keeps tiny weights at their true log values instead of flushing them
     to zero through a linear round trip.
     """
-    lw = np.asarray(log_weights, dtype=float)
-    if lw.size < 1:
-        raise ValueError("need at least one log-weight")
-    m = np.max(lw)
-    if m == -np.inf:
-        raise AllWeightsCollapsed("all log-weights are -inf")
-    return lw - (m + np.log(np.sum(np.exp(lw - m))))
+    lw, m = _max_shift(log_weights)
+    shifted = lw - m
+    np.exp(shifted, out=shifted)
+    return lw - (m + np.log(shifted.sum()))
 
 
 def weighted_mean(particle_set: ParticleSet) -> np.ndarray:

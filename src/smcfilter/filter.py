@@ -23,10 +23,10 @@ from .core import (
     normalized_log_weights,
     weighted_mean,
 )
-from .models import DimensionMismatch, log_likelihood, propagate
+from .models import DimensionMismatch, check_measurement, log_likelihood, propagate
 from .resampling import (
     ResamplePolicy,
-    effective_sample_size,
+    _ess,
     multinomial_resample,
     should_resample,
     systematic_resample,
@@ -70,8 +70,6 @@ class FilterState:
     policy: ResamplePolicy
     rng: RngStream
     estimator: str = "weighted_mean"
-    last_ess: float = float("nan")
-    last_resampled: bool = False
 
 
 @dataclass
@@ -129,29 +127,31 @@ def init(
     )
 
 
-def _advance(state: FilterState, z, noises: np.ndarray, u, resample_u) -> StepOutcome:
+def _advance(state: FilterState, z, predicted: np.ndarray, resample_u) -> StepOutcome:
+    """Weight, resample and estimate from the propagated particles.
+
+    ``z`` has passed check_measurement. Every other array here is built by
+    the step itself, so beyond one overflow guard nothing is re-validated.
+    """
+    if not np.isfinite(predicted).all():
+        raise ValueError("particles must be finite")
     model = state.model
     pset = state.set
     n = pset.n_particles
 
-    # Prediction: every particle moves through the motion model.
-    predicted = propagate(model, pset.particles, noises, u)
-
-    # Weight update and normalization, all in the log domain. The update adds
-    # into the likelihood's fresh array instead of allocating another.
+    # Weight update in the log domain. The update adds into the likelihood's
+    # fresh array instead of allocating another.
     log_w = log_likelihood(model, z, predicted)
     log_w += pset.log_weights
     degenerate = False
     try:
         weights = normalize_weights(log_w)
-        log_w = normalized_log_weights(log_w)
     except AllWeightsCollapsed:
         # Recover instead of aborting: reset to uniform and flag the event.
         degenerate = True
         weights = np.full(n, 1.0 / n)
-        log_w = np.full(n, -np.log(n))
 
-    ess = effective_sample_size(weights)
+    ess = _ess(weights)
     resampled = should_resample(state.policy, ess, n)
     if resampled:
         if state.policy.scheme == "systematic":
@@ -159,12 +159,15 @@ def _advance(state: FilterState, z, noises: np.ndarray, u, resample_u) -> StepOu
             indices = systematic_resample(weights, offset)
         else:
             indices = multinomial_resample(weights, state.rng)
-        predicted = np.take(predicted, indices, axis=0)
+        predicted = predicted.take(indices, axis=0)
+    # Only a step that keeps its weights needs them normalized in the log
+    # domain; resampling and a collapse both reset them to uniform.
+    if resampled or degenerate:
         log_w = np.full(n, -np.log(n))
+    else:
+        log_w = normalized_log_weights(log_w)
 
-    state.set = ParticleSet(predicted, log_w, generation=pset.generation + 1)
-    state.last_ess = ess
-    state.last_resampled = resampled
+    state.set = ParticleSet._trusted(predicted, log_w, pset.generation + 1)
     return StepOutcome(
         estimate=_estimate(state),
         ess=ess,
@@ -177,15 +180,20 @@ def _advance(state: FilterState, z, noises: np.ndarray, u, resample_u) -> StepOu
 def step(state: FilterState, z, u=None) -> StepOutcome:
     """Advance the filter by one measurement.
 
-    Stream consumption order: one process-noise vector per particle in
-    index order (N*n normal draws), then, only if resampling fires, one
-    uniform offset (systematic) or N uniform draws (multinomial). The
-    estimate is computed after any resampling.
+    The measurement is checked first: a wrong shape or a non-finite
+    component raises before anything is drawn, leaving the set and the
+    stream untouched. Stream consumption order: one process-noise vector per
+    particle in index order (N*n normal draws), then, only if resampling
+    fires, one uniform offset (systematic) or N uniform draws (multinomial).
+    The estimate is computed after any resampling.
     """
+    model = state.model
+    z = check_measurement(model, z)
     pset = state.set
     noises = state.rng.standard_normal((pset.n_particles, pset.dim))
-    noises *= np.sqrt(state.model.process_var)
-    return _advance(state, z, noises, u, resample_u=None)
+    noises *= model.process_std
+    predicted = propagate(model, pset.particles, noises, u)
+    return _advance(state, z, predicted, resample_u=None)
 
 
 def step_with_injected_noise(
@@ -198,10 +206,18 @@ def step_with_injected_noise(
     ``resample_u`` is given. Multinomial selection draws, and a systematic
     offset when ``resample_u`` is None, still come from the stream.
     """
+    model = state.model
+    z = check_measurement(model, z)
     noises = np.asarray(noises, dtype=float)
     if noises.ndim == 1:
         noises = noises[:, np.newaxis]
     expected = (state.set.n_particles, state.set.dim)
     if noises.shape != expected:
         raise DimensionMismatch(f"noises shape {noises.shape}, expected {expected}")
-    return _advance(state, z, noises, u, resample_u=resample_u)
+    # Caller noise can be large enough for f(x) + noise to overflow; drawn
+    # noise cannot (sqrt(Q) times a normal draw stays far below half an ulp
+    # of the largest double), so only this seam silences overflow in
+    # propagate. The inf it leaves is rejected by _advance's finite guard.
+    with np.errstate(over="ignore"):
+        predicted = propagate(model, state.set.particles, noises, u)
+    return _advance(state, z, predicted, resample_u)

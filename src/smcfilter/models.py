@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,11 @@ class NonFiniteMeasurement(ValueError):
     """A measurement component is NaN or infinite."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class StateSpaceModel:
     """Contract shared by all models.
 
@@ -32,7 +38,8 @@ class StateSpaceModel:
     (o), diagonal noise variances ``process_var`` (length n, >= 0) and
     ``meas_var`` (length o, > 0), the deterministic motion ``f(x, u)`` and
     the observation map ``h(x)``. Instances are immutable after
-    construction and safe for concurrent read-only use.
+    construction and safe for concurrent read-only use, so the constants
+    derived from the variances are built once per instance.
     """
 
     state_dim: int
@@ -55,9 +62,24 @@ class StateSpaceModel:
     def h(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    @cached_property
+    def process_std(self) -> np.ndarray:
+        """sqrt(Q_j): the scale of each standard-normal process draw."""
+        return _read_only(np.sqrt(self.process_var))
+
+    @cached_property
+    def meas_log_norm(self) -> np.ndarray:
+        """log(2 pi R_j): the likelihood's normalizer per observation component."""
+        return _read_only(np.log(2.0 * np.pi * self.meas_var))
+
+    @cached_property
+    def meas_std(self) -> np.ndarray:
+        """sqrt(R_j): the scale of each standard-normal sensor draw."""
+        return _read_only(np.sqrt(self.meas_var))
+
 
 @dataclass(frozen=True)
-class RandomWalk1D:
+class RandomWalk1D(StateSpaceModel):
     """Scalar random walk with direct position measurement.
 
     Motion:      x_k = x_{k-1} + noise,  noise ~ N(0, q)
@@ -79,23 +101,24 @@ class RandomWalk1D:
         if self.r <= 0:
             raise ValueError(f"measurement-noise variance r must be > 0, got {self.r}")
 
-    @property
+    @cached_property
     def process_var(self) -> np.ndarray:
-        return np.array([self.q])
+        return _read_only(np.array([self.q]))
 
-    @property
+    @cached_property
     def meas_var(self) -> np.ndarray:
-        return np.array([self.r])
+        return _read_only(np.array([self.r]))
 
     def f(self, x, u=None):
         return np.asarray(x, dtype=float).copy()
 
     def h(self, x):
-        return np.asarray(x, dtype=float).copy()
+        """Read-only view of x."""
+        return _read_only(np.asarray(x, dtype=float).view())
 
 
 @dataclass(frozen=True)
-class ConstantVelocity2D:
+class ConstantVelocity2D(StateSpaceModel):
     """Planar constant-velocity motion with noisy position measurements.
 
     State:       x = [px, py, vx, vy]
@@ -135,19 +158,24 @@ class ConstantVelocity2D:
             ]
         )
 
-    @property
-    def process_var(self) -> np.ndarray:
-        return np.array([self.q_pos, self.q_pos, self.q_vel, self.q_vel])
+    @cached_property
+    def _transition_t(self) -> np.ndarray:
+        return _read_only(self.transition_matrix()).T
 
-    @property
+    @cached_property
+    def process_var(self) -> np.ndarray:
+        return _read_only(np.array([self.q_pos, self.q_pos, self.q_vel, self.q_vel]))
+
+    @cached_property
     def meas_var(self) -> np.ndarray:
-        return np.array([self.r_meas, self.r_meas])
+        return _read_only(np.array([self.r_meas, self.r_meas]))
 
     def f(self, x, u=None):
-        return np.asarray(x, dtype=float) @ self.transition_matrix().T
+        return np.asarray(x, dtype=float) @ self._transition_t
 
     def h(self, x):
-        return np.asarray(x, dtype=float)[..., :2].copy()
+        """Read-only view of the position components of x."""
+        return _read_only(np.asarray(x, dtype=float)[..., :2])
 
 
 def _check_state(model, x) -> np.ndarray:
@@ -179,8 +207,24 @@ def propagate(model, x, noise, u=None) -> np.ndarray:
 
 
 def predict_measurement(model, x) -> np.ndarray:
-    """Expected sensor reading h(x) for a state or a batch of states."""
-    return model.h(_check_state(model, x))
+    """Expected sensor reading h(x) for a state or a batch of states, as a
+    fresh array."""
+    return np.array(model.h(_check_state(model, x)))
+
+
+def check_measurement(model, z) -> np.ndarray:
+    """z as a float (o,) array; raises DimensionMismatch for a wrong shape and
+    NonFiniteMeasurement for a NaN or infinite component."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 0:
+        z = z[np.newaxis]
+    if z.shape != (model.obs_dim,):
+        raise DimensionMismatch(
+            f"measurement has shape {z.shape}, model expects ({model.obs_dim},)"
+        )
+    if not all(map(math.isfinite, z.tolist())):
+        raise NonFiniteMeasurement(f"measurement must be finite, got {z}")
+    return z
 
 
 def log_likelihood(model, z, x):
@@ -195,17 +239,9 @@ def log_likelihood(model, z, x):
     measurement raises NonFiniteMeasurement.
     """
     x = _check_state(model, x)
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 0:
-        z = z[np.newaxis]
-    if z.shape != (model.obs_dim,):
-        raise DimensionMismatch(
-            f"measurement has shape {z.shape}, model expects ({model.obs_dim},)"
-        )
-    if not all(map(math.isfinite, z.tolist())):
-        raise NonFiniteMeasurement(f"measurement must be finite, got {z}")
+    z = check_measurement(model, z)
     var = model.meas_var
-    log_norm = np.log(2.0 * np.pi * var)
+    log_norm = model.meas_log_norm
     hx = model.h(x)
 
     def column(j):
@@ -224,14 +260,14 @@ def log_likelihood(model, z, x):
         for j in range(1, model.obs_dim):
             ll += column(j)
     ll *= -0.5
-    return float(ll) if np.ndim(ll) == 0 else ll
+    return float(ll) if ll.ndim == 0 else ll
 
 
 def sample_process_noise(model, rng: RngStream) -> np.ndarray:
     """Draw one process-noise vector, sqrt(Q_j) * standard normal per component."""
-    return np.sqrt(model.process_var) * rng.standard_normal(model.state_dim)
+    return model.process_std * rng.standard_normal(model.state_dim)
 
 
 def sample_measurement_noise(model, rng: RngStream) -> np.ndarray:
     """Draw one measurement-noise vector, sqrt(R_j) * standard normal per component."""
-    return np.sqrt(model.meas_var) * rng.standard_normal(model.obs_dim)
+    return model.meas_std * rng.standard_normal(model.obs_dim)

@@ -10,6 +10,9 @@ from .core import RngStream
 
 SCHEMES = ("systematic", "multinomial")
 
+# the largest double below 1
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
 
 class NotNormalized(ValueError):
     """Weights do not sum to 1 within tolerance."""
@@ -45,10 +48,19 @@ def _checked(weights) -> np.ndarray:
     return w
 
 
+def _ess(w: np.ndarray) -> float:
+    """effective_sample_size without the sum check, for weights a normalizer
+    has just built. Those sum to 1 up to rounding unless they hold a NaN,
+    which makes the ESS NaN; that case raises the same NotNormalized."""
+    ess = float(1.0 / (w * w).sum())
+    if ess != ess:
+        _checked(w)
+    return ess
+
+
 def effective_sample_size(weights) -> float:
     """N_eff = 1 / sum(w^2); N for uniform weights, 1 for a one-hot vector."""
-    w = _checked(weights)
-    return float(1.0 / np.sum(w * w))
+    return _ess(_checked(weights))
 
 
 def systematic_resample(weights, u: float) -> np.ndarray:
@@ -64,13 +76,15 @@ def systematic_resample(weights, u: float) -> np.ndarray:
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must be in [0, 1), got {u}")
     n = w.size
-    positions = (np.arange(n) + u) / n
+    positions = np.arange(n, dtype=float)
+    positions += u
+    positions /= n
     # (n-1+u)/n can round to exactly 1.0 when u is the largest double below
     # 1; pull it back inside [0, 1) so the strict walk stays in range
-    np.minimum(positions, np.nextafter(1.0, 0.0), out=positions)
-    cumsum = np.cumsum(w)
+    np.minimum(positions, _BELOW_ONE, out=positions)
+    cumsum = w.cumsum()
     cumsum[-1] = 1.0
-    return np.searchsorted(cumsum, positions, side="right")
+    return cumsum.searchsorted(positions, side="right")
 
 
 def multinomial_resample(weights, rng: RngStream) -> np.ndarray:
@@ -81,14 +95,14 @@ def multinomial_resample(weights, rng: RngStream) -> np.ndarray:
     """
     w = _checked(weights)
     n = w.size
-    cumsum = np.cumsum(w)
+    cumsum = w.cumsum()
     cumsum[-1] = 1.0
     draws = rng.uniform(n)
     # searchsorted is monotone in its key, so sorting the draws first gives
     # the same indices as sorting the result, and the ordered lookups are
     # cheaper.
     draws.sort()
-    return np.searchsorted(cumsum, draws, side="right")
+    return cumsum.searchsorted(draws, side="right")
 
 
 def should_resample(policy: ResamplePolicy, n_eff: float, n: int) -> bool:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,43 @@ class TestStep:
         with pytest.raises(NonFiniteMeasurement):
             step(state, z)
         assert state.set is before
+
+    def test_rejected_measurement_leaves_set_and_stream_untouched(self):
+        def fresh():
+            return init(
+                RW,
+                GaussianPrior([0.0], [2.0]),
+                20,
+                RngStream(4),
+                policy=ResamplePolicy("systematic", 1.0),
+            )
+
+        state, twin = fresh(), fresh()
+        before = state.set
+        with pytest.raises(NonFiniteMeasurement):
+            step(state, np.nan)
+        with pytest.raises(DimensionMismatch):
+            step(state, [0.5, 0.5])
+        assert state.set is before
+        got, want = step(state, 0.5), step(twin, 0.5)
+        assert np.array_equal(state.set.particles, twin.set.particles)
+        assert np.array_equal(state.set.log_weights, twin.set.log_weights)
+        assert np.array_equal(got.estimate, want.estimate)
+        assert (got.ess, got.resampled) == (want.ess, want.resampled)
+        assert state.rng.uniform() == twin.rng.uniform()
+
+    def test_propagate_overflow_raises_value_error(self):
+        state = init(RW, GaussianPrior([1.5e308], [0.0]), 5, RngStream(1))
+        before = state.set
+        particles, log_weights = before.particles.copy(), before.log_weights.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="particles must be finite"):
+                step_with_injected_noise(state, 0.0, np.full(5, 1.5e308))
+        assert state.set is before
+        assert np.array_equal(before.particles, particles)
+        assert np.array_equal(before.log_weights, log_weights)
+        assert before.generation == 0
 
     def test_measurement_beyond_every_particle_collapses_with_flag(self):
         # every squared residual overflows: all weights are exactly 0

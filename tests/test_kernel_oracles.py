@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcfilter import filter as sir
-from smcfilter.core import ParticleSet, RngStream, normalize_weights, normalized_log_weights
-from smcfilter.models import ConstantVelocity2D, RandomWalk1D, log_likelihood, propagate
-from smcfilter.resampling import (
-    ResamplePolicy,
-    effective_sample_size,
-    multinomial_resample,
-    systematic_resample,
+from smcfilter.core import (
+    AllWeightsCollapsed,
+    ParticleSet,
+    RngStream,
+    normalize_weights,
+    normalized_log_weights,
 )
+from smcfilter.models import ConstantVelocity2D, RandomWalk1D, log_likelihood, propagate
+from smcfilter.resampling import ResamplePolicy, multinomial_resample, systematic_resample
 
 
 def oracle_log_likelihood(model, z, x):
@@ -47,20 +48,52 @@ def oracle_multinomial(weights, rng):
     return np.sort(indices)
 
 
+def oracle_normalize_weights(log_weights):
+    m = np.max(log_weights)
+    if m == -np.inf:
+        raise AllWeightsCollapsed("all log-weights are -inf")
+    shifted = np.exp(log_weights - m)
+    return shifted / shifted.sum()
+
+
+def oracle_normalized_log_weights(log_weights):
+    m = np.max(log_weights)
+    return log_weights - (m + np.log(np.sum(np.exp(log_weights - m))))
+
+
 def oracle_step(state, z):
-    """One step of the earlier filter.step, for a state that resamples."""
-    model, pset = state.model, state.set
+    """One step of the earlier filter.step, which normalized twice.
+
+    Returns (particles, log-weights, ESS, estimate, resampled, degenerate).
+    """
+    model, pset, policy = state.model, state.set, state.policy
     n = pset.n_particles
     scale = np.sqrt(model.process_var)
     noises = state.rng.standard_normal((n, pset.dim)) * scale
     predicted = propagate(model, pset.particles, noises)
     log_w = pset.log_weights + oracle_log_likelihood(model, z, predicted)
-    weights = normalize_weights(log_w)
-    if state.policy.scheme == "systematic":
-        indices = oracle_systematic(weights, state.rng.uniform())
+    degenerate = False
+    try:
+        weights = oracle_normalize_weights(log_w)
+        log_w = oracle_normalized_log_weights(log_w)
+    except AllWeightsCollapsed:
+        degenerate = True
+        weights = np.full(n, 1.0 / n)
+        log_w = np.full(n, -np.log(n))
+    ess = float(1.0 / np.sum(weights * weights))
+    resampled = bool(ess < policy.threshold_fraction * n)
+    if resampled:
+        if policy.scheme == "systematic":
+            indices = oracle_systematic(weights, state.rng.uniform())
+        else:
+            indices = oracle_multinomial(weights, state.rng)
+        predicted = predicted[indices]
+        log_w = np.full(n, -np.log(n))
+    if state.estimator == "map":
+        estimate = predicted[int(np.argmax(log_w))].copy()
     else:
-        indices = oracle_multinomial(weights, state.rng)
-    return predicted[indices], effective_sample_size(weights)
+        estimate = np.exp(log_w) @ predicted
+    return predicted, log_w, ess, estimate, resampled, degenerate
 
 
 MODELS = {
@@ -115,6 +148,22 @@ class TestLogLikelihood:
         assert got == oracle_log_likelihood(model, z, x)
 
 
+class TestNormalize:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5000), seeds, st.floats(0.0, 0.95), magnitudes)
+    def test_both_normalizers_match_oracle(self, n, seed, zero_fraction, magnitude):
+        # log-weights spread over ~1e-150 .. 1e150, with a share of -inf
+        log_w = RngStream(seed).standard_normal(n) * 10.0 ** (magnitude / 2)
+        log_w[weight_vector(n, seed + 1, zero_fraction) == 0.0] = -np.inf
+        before = log_w.copy()
+        assert np.array_equal(normalize_weights(log_w), oracle_normalize_weights(log_w))
+        assert np.array_equal(
+            normalized_log_weights(log_w), oracle_normalized_log_weights(log_w)
+        )
+        # neither writes into its input
+        assert np.array_equal(log_w, before)
+
+
 class TestResampling:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5000), seeds, st.floats(0.0, 0.95), st.floats(0.0, 1.0, exclude_max=True))
@@ -136,6 +185,32 @@ class TestResampling:
         assert rng.uniform() == oracle_rng.uniform()
 
 
+def assert_step_matches_oracle(model, x, log_w, z, seed, policy, estimator="weighted_mean"):
+    """Step a fresh state and the oracle from the same inputs; returns the outcome."""
+
+    def fresh():
+        return sir.FilterState(
+            set=ParticleSet(x.copy(), log_w.copy()),
+            model=model,
+            policy=policy,
+            rng=RngStream(seed),
+            estimator=estimator,
+        )
+
+    state, oracle_state = fresh(), fresh()
+    outcome = sir.step(state, z)
+    particles, log_weights, ess, estimate, resampled, degenerate = oracle_step(oracle_state, z)
+    assert np.array_equal(state.set.particles, particles)
+    assert np.array_equal(state.set.log_weights, log_weights)
+    assert outcome.ess == ess
+    assert np.array_equal(outcome.estimate, estimate)
+    assert (outcome.resampled, outcome.degenerate) == (resampled, degenerate)
+    assert state.set.generation == 1
+    # both consumed the same number of draws
+    assert state.rng.uniform() == oracle_state.rng.uniform()
+    return outcome
+
+
 class TestStep:
     @settings(max_examples=40, deadline=None)
     @given(model_names, st.integers(1, 5000), seeds, st.sampled_from(["systematic", "multinomial"]))
@@ -146,20 +221,38 @@ class TestStep:
         # uneven log-weights so that ESS < N and threshold 1 fires, N = 1 aside
         log_w = normalized_log_weights(RngStream(seed + 2).uniform(n))
         z = measurement(model, seed, 0)
+        outcome = assert_step_matches_oracle(
+            model, x, log_w, z, seed, ResamplePolicy(scheme, 1.0)
+        )
+        assert outcome.resampled or n == 1
 
-        def fresh():
-            return sir.FilterState(
-                set=ParticleSet(x.copy(), log_w.copy()),
-                model=model,
-                policy=ResamplePolicy(scheme, 1.0),
-                rng=RngStream(seed),
-            )
-
-        outcome = sir.step(fresh(), z)
-        if not outcome.resampled:
-            assert n == 1
-            return
-        expected, ess = oracle_step(fresh(), z)
-        assert outcome.ess == ess
-        assert np.array_equal(outcome.state.set.particles, expected)
-        assert np.array_equal(outcome.state.set.log_weights, np.full(n, -np.log(n)))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model_names,
+        st.integers(1, 2000),
+        seeds,
+        st.sampled_from(["systematic", "multinomial"]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from(sir.ESTIMATORS),
+        st.booleans(),
+        st.floats(0.5, 50.0),
+    )
+    def test_any_step_matches_oracle(
+        self, name, n, seed, scheme, threshold, estimator, collapsed, spread
+    ):
+        """Steps that keep their weights (threshold 0, or ESS above it), steps
+        that resample, collapsed steps and both estimators: the one
+        normalization per step gives the bytes of the earlier two."""
+        model = MODELS[name](2.0)
+        x = particles(model, n, seed, spread)
+        if collapsed:
+            log_w = np.full(n, -np.inf)
+        else:
+            log_w = normalized_log_weights(RngStream(seed + 2).uniform(n) * spread)
+        z = measurement(model, seed, 0)
+        outcome = assert_step_matches_oracle(
+            model, x, log_w, z, seed, ResamplePolicy(scheme, threshold), estimator
+        )
+        assert outcome.degenerate == collapsed
+        if threshold == 0.0:
+            assert not outcome.resampled

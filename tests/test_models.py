@@ -45,6 +45,26 @@ class TestConstruction:
             ConstantVelocity2D(**kwargs)
 
 
+class TestConstants:
+    @pytest.mark.parametrize("model", [RW, CV])
+    def test_built_once_and_read_only(self, model):
+        for name in ("process_var", "meas_var", "process_std", "meas_std", "meas_log_norm"):
+            value = getattr(model, name)
+            assert getattr(model, name) is value
+            assert not value.flags.writeable
+
+    @pytest.mark.parametrize("model", [RW, CV])
+    def test_derived_with_the_same_ufuncs(self, model):
+        assert np.array_equal(model.process_std, np.sqrt(model.process_var))
+        assert np.array_equal(model.meas_std, np.sqrt(model.meas_var))
+        assert np.array_equal(model.meas_log_norm, np.log(2.0 * np.pi * model.meas_var))
+
+    def test_cached_constants_leave_equality_and_hash_alone(self):
+        cached, fresh = RandomWalk1D(q=1.0, r=4.0), RandomWalk1D(q=1.0, r=4.0)
+        assert cached.meas_log_norm is not None
+        assert cached == fresh and hash(cached) == hash(fresh)
+
+
 class TestPropagate:
     def test_rw1d_worked_steps(self):
         assert propagate(RW, [0.2], [-0.4])[0] == -0.2
@@ -106,6 +126,16 @@ class TestPredictMeasurement:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             predict_measurement(CV, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("model", [RW, CV])
+    def test_h_is_a_read_only_view_and_the_public_reading_is_fresh(self, model):
+        x = np.arange(3.0 * model.state_dim).reshape(3, model.state_dim)
+        hx = model.h(x)
+        assert np.shares_memory(hx, x) and not hx.flags.writeable
+        assert x.flags.writeable
+        reading = predict_measurement(model, x)
+        assert not np.shares_memory(reading, x) and reading.flags.writeable
+        np.testing.assert_array_equal(reading, hx)
 
 
 class TestLogLikelihood:
