@@ -10,16 +10,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .core import ParticleSet, RngStream
+from .core import ArgumentError, ParticleSet, RngStream
 from .filter import FilterState, GaussianPrior, step_with_injected_noise
 from .models import ConstantVelocity2D, RandomWalk1D
-from .resampling import SCHEMES, ResamplePolicy
+from .resampling import ResamplePolicy
 from .sim import Scenario, Trace, rmse, run_scenario
 
 
@@ -31,52 +31,61 @@ class FixtureError(ValueError):
     """Fixture file missing, unparseable, or schema-invalid."""
 
 
-# (key, minimum, strict lower bound) per scenario's model block
-_MODEL_FIELDS = {
-    "rw1d": (("q", 0.0, False), ("r", 0.0, True)),
-    "cv2d": (("dt", 0.0, False), ("q_pos", 0.0, False), ("q_vel", 0.0, False), ("r", 0.0, True)),
+# scenario name -> model class and its config key -> constructor argument map
+SCENARIOS = {
+    "rw1d": (RandomWalk1D, {"q": "q", "r": "r"}),
+    "cv2d": (ConstantVelocity2D, {"dt": "dt", "q_pos": "q_pos", "q_vel": "q_vel", "r": "r_meas"}),
 }
-_STATE_DIMS = {"rw1d": 1, "cv2d": 4}
+
+# constructor argument -> config field, where the two names differ
+_FIELDS = {
+    "t_steps": "T",
+    "n_particles": "N",
+    "scheme": "resampler",
+    "mean": "prior.mean",
+    "std": "prior.std",
+}
+
+DEMOS = {
+    "demo-1d": {
+        "scenario": "rw1d", "T": 15, "N": 200,
+        "model": {"q": 1.0, "r": 4.0},
+        "prior": {"mean": [0.0], "std": [2.0]},
+        "initial_truth": [0.0],
+    },
+    "demo-2d": {
+        "scenario": "cv2d", "T": 30, "N": 500,
+        "model": {"dt": 1.0, "q_pos": 0.2, "q_vel": 0.05, "r": 2.0},
+        "prior": {"mean": [0.0, 0.0, 0.0, 0.0], "std": [2.0, 2.0, 2.0, 2.0]},
+        "initial_truth": [0.0, 0.0, 1.0, 0.5],
+    },
+}
 
 
 @dataclass
 class RunConfig:
-    scenario: str
-    t_steps: int
-    n_particles: int
-    model: dict
-    prior_mean: list
-    prior_std: list
-    initial_truth: list
-    resampler: str = "systematic"
-    threshold_fraction: float = 0.5
-    estimator: str = "weighted_mean"
-    seed: int | None = None
-    dump_particles: list = field(default_factory=list)
+    """A checked run config: the scenario built from it, the config's seed (if
+    any) and the steps whose particle clouds are dumped."""
+
+    scenario: Scenario
+    seed: int | None
+    dump_particles: list
 
 
 def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _number(value, path: str, minimum=None, strict=False) -> float:
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"must be a number, got {value!r}")
-    value = float(value)
-    if minimum is not None:
-        if strict and value <= minimum:
-            _fail(path, f"must be > {minimum}, got {value}")
-        if not strict and value < minimum:
-            _fail(path, f"must be >= {minimum}, got {value}")
-    return value
+    return float(value)
 
 
-def _integer(value, path: str, minimum: int) -> int:
+def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"must be an integer, got {value!r}")
-    if value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return int(value)
+    return value
 
 
 def _float_list(value, path: str, length: int) -> list:
@@ -87,117 +96,76 @@ def _float_list(value, path: str, length: int) -> list:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _object(value, path: str, required, optional=()) -> dict:
+    """value as a JSON object with every required key and no unknown one;
+    ``path`` is the object's field path, "" for the config root."""
+    if not isinstance(value, dict):
+        _fail(path or "config root", f"must be a JSON object, got {value!r}")
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in required and key not in optional:
+            _fail(prefix + key, "unknown field")
+    for key in required:
+        if key not in value:
+            _fail(prefix + key, "missing required field")
+    return value
+
+
+def _dump_steps(steps, path: str, t_steps: int) -> list:
+    """steps as a list of integer step indices in [0, T)."""
+    if not isinstance(steps, list):
+        _fail(path, f"must be a list of step indices, got {steps!r}")
+    for i, k in enumerate(steps):
+        if not 0 <= _integer(k, f"{path}[{i}]") < t_steps:
+            _fail(f"{path}[{i}]", f"step {k} outside horizon T={t_steps}")
+    return steps
+
+
 def parse_config(data: dict) -> RunConfig:
-    """Validate a config mapping and build a RunConfig; errors carry field paths."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root: must be a JSON object, got {type(data).__name__}")
+    """Check a config mapping and build the run's library objects from it.
 
-    known = {
-        "scenario", "T", "N", "model", "prior", "initial_truth", "resampler",
-        "threshold_fraction", "estimator", "seed", "dump_particles",
-    }
-    for key in data:
-        if key not in known:
-            _fail(key, "unknown field")
-    for key in ("scenario", "T", "N", "model", "prior", "initial_truth"):
-        if key not in data:
-            _fail(key, "missing required field")
-
-    scenario = data["scenario"]
-    if scenario not in _MODEL_FIELDS:
-        _fail("scenario", f"must be one of {sorted(_MODEL_FIELDS)}, got {scenario!r}")
-    dim = _STATE_DIMS[scenario]
-
-    t_steps = _integer(data["T"], "T", minimum=1)
-    n_particles = _integer(data["N"], "N", minimum=1)
-
-    model_block = data["model"]
-    if not isinstance(model_block, dict):
-        _fail("model", f"must be an object, got {model_block!r}")
-    fields = _MODEL_FIELDS[scenario]
-    for key in model_block:
-        if key not in {f[0] for f in fields}:
-            _fail(f"model.{key}", f"unknown field for scenario {scenario!r}")
-    model = {}
-    for key, minimum, strict in fields:
-        if key not in model_block:
-            _fail(f"model.{key}", "missing required field")
-        model[key] = _number(model_block[key], f"model.{key}", minimum, strict)
-
-    prior = data["prior"]
-    if not isinstance(prior, dict) or set(prior) != {"mean", "std"}:
-        _fail("prior", "must be an object with exactly the fields 'mean' and 'std'")
-    prior_mean = _float_list(prior["mean"], "prior.mean", dim)
-    prior_std = _float_list(prior["std"], "prior.std", dim)
-    for i, v in enumerate(prior_std):
-        if v < 0:
-            _fail(f"prior.std[{i}]", f"must be >= 0, got {v}")
-
-    initial_truth = _float_list(data["initial_truth"], "initial_truth", dim)
-
-    resampler = data.get("resampler", "systematic")
-    if resampler not in SCHEMES:
-        _fail("resampler", f"must be one of {list(SCHEMES)}, got {resampler!r}")
-    threshold = _number(data.get("threshold_fraction", 0.5), "threshold_fraction")
-    if not 0.0 <= threshold <= 1.0:
-        _fail("threshold_fraction", f"must be in [0, 1], got {threshold}")
-    estimator = data.get("estimator", "weighted_mean")
-    if estimator not in ("weighted_mean", "map"):
-        _fail("estimator", f"must be 'weighted_mean' or 'map', got {estimator!r}")
-
-    seed = data.get("seed")
-    if seed is not None:
-        seed = _integer(seed, "seed", minimum=0)
-        if seed >= 2**64:
-            _fail("seed", "must fit in 64 unsigned bits")
-
-    dump = data.get("dump_particles", [])
-    if not isinstance(dump, list):
-        _fail("dump_particles", f"must be a list of step indices, got {dump!r}")
-    dump = [_integer(v, f"dump_particles[{i}]", minimum=0) for i, v in enumerate(dump)]
-    for i, v in enumerate(dump):
-        if v >= t_steps:
-            _fail(f"dump_particles[{i}]", f"step {v} outside horizon T={t_steps}")
-
-    return RunConfig(
-        scenario=scenario,
-        t_steps=t_steps,
-        n_particles=n_particles,
-        model=model,
-        prior_mean=prior_mean,
-        prior_std=prior_std,
-        initial_truth=initial_truth,
-        resampler=resampler,
-        threshold_fraction=threshold,
-        estimator=estimator,
-        seed=seed,
-        dump_particles=dump,
-    )
-
-
-def serialize_config(cfg: RunConfig) -> dict:
-    """Inverse of parse_config: parse_config(serialize_config(cfg)) == cfg."""
-    return {
-        "scenario": cfg.scenario,
-        "T": cfg.t_steps,
-        "N": cfg.n_particles,
-        "model": dict(cfg.model),
-        "prior": {"mean": list(cfg.prior_mean), "std": list(cfg.prior_std)},
-        "initial_truth": list(cfg.initial_truth),
-        "resampler": cfg.resampler,
-        "threshold_fraction": cfg.threshold_fraction,
-        "estimator": cfg.estimator,
-        "seed": cfg.seed,
-        "dump_particles": list(cfg.dump_particles),
-    }
+    The checks here are those of the JSON boundary: field names, value
+    types and list lengths. Each value rule is the constructors' own; their
+    errors come back as ConfigError under the field path."""
+    _object(data, "", ("scenario", "T", "N", "model", "prior", "initial_truth"),
+            ("resampler", "threshold_fraction", "estimator", "seed", "dump_particles"))
+    name = data["scenario"]
+    if not isinstance(name, str) or name not in SCENARIOS:
+        _fail("scenario", f"must be one of {sorted(SCENARIOS)}, got {name!r}")
+    model_cls, keys = SCENARIOS[name]
+    block = _object(data["model"], "model", tuple(keys))
+    prior = _object(data["prior"], "prior", ("mean", "std"))
+    dim = model_cls.state_dim
+    # an optional field the config leaves out takes Scenario's default
+    policy = Scenario.policy
+    try:
+        scenario = Scenario(
+            model=model_cls(**{arg: _number(block[key], f"model.{key}") for key, arg in keys.items()}),
+            t_steps=_integer(data["T"], "T"),
+            prior=GaussianPrior(_float_list(prior["mean"], "prior.mean", dim),
+                                _float_list(prior["std"], "prior.std", dim)),
+            initial_truth=_float_list(data["initial_truth"], "initial_truth", dim),
+            n_particles=_integer(data["N"], "N"),
+            policy=ResamplePolicy(
+                data.get("resampler", policy.scheme),
+                _number(data.get("threshold_fraction", policy.threshold_fraction), "threshold_fraction"),
+            ),
+            estimator=data.get("estimator", Scenario.estimator),
+        )
+        seed = data.get("seed")
+        if seed is not None:
+            RngStream(_integer(seed, "seed"))
+    except ArgumentError as exc:
+        fields = dict(_FIELDS, **{arg: f"model.{key}" for key, arg in keys.items()})
+        path = fields.get(exc.name, exc.name)
+        _fail(path if exc.index is None else f"{path}[{exc.index}]", exc.rule)
+    dump = _dump_steps(data.get("dump_particles", []), "dump_particles", scenario.t_steps)
+    return RunConfig(scenario, seed, dump)
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
@@ -207,51 +175,9 @@ def load_config(path) -> RunConfig:
     return parse_config(data)
 
 
-def build_model(cfg: RunConfig):
-    if cfg.scenario == "rw1d":
-        return RandomWalk1D(q=cfg.model["q"], r=cfg.model["r"])
-    return ConstantVelocity2D(
-        dt=cfg.model["dt"],
-        q_pos=cfg.model["q_pos"],
-        q_vel=cfg.model["q_vel"],
-        r_meas=cfg.model["r"],
-    )
-
-
 def build_scenario(cfg: RunConfig) -> Scenario:
-    return Scenario(
-        model=build_model(cfg),
-        t_steps=cfg.t_steps,
-        prior=GaussianPrior(np.array(cfg.prior_mean), np.array(cfg.prior_std)),
-        initial_truth=np.array(cfg.initial_truth),
-        n_particles=cfg.n_particles,
-        policy=ResamplePolicy(cfg.resampler, cfg.threshold_fraction),
-        estimator=cfg.estimator,
-    )
-
-
-def demo_1d_config() -> RunConfig:
-    return RunConfig(
-        scenario="rw1d",
-        t_steps=15,
-        n_particles=200,
-        model={"q": 1.0, "r": 4.0},
-        prior_mean=[0.0],
-        prior_std=[2.0],
-        initial_truth=[0.0],
-    )
-
-
-def demo_2d_config() -> RunConfig:
-    return RunConfig(
-        scenario="cv2d",
-        t_steps=30,
-        n_particles=500,
-        model={"dt": 1.0, "q_pos": 0.2, "q_vel": 0.05, "r": 2.0},
-        prior_mean=[0.0, 0.0, 0.0, 0.0],
-        prior_std=[2.0, 2.0, 2.0, 2.0],
-        initial_truth=[0.0, 0.0, 1.0, 0.5],
-    )
+    """The scenario of a parsed config, ready for run_scenario."""
+    return cfg.scenario
 
 
 def _fmt(value: float) -> str:
@@ -291,18 +217,19 @@ def write_particles_csv(path, trace: Trace, model) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _resolve_seed(cli_seed, cfg_seed) -> int:
+def _resolve_seed(cli_seed, cfg_seed) -> tuple[int, str]:
+    """The run's seed and where it came from, for error messages."""
     if cli_seed is not None:
-        return cli_seed
+        return cli_seed, "--seed"
     if cfg_seed is not None:
-        return cfg_seed
+        return cfg_seed, "seed"
     env = os.environ.get("SMC_SEED")
     if env is not None:
         try:
-            return int(env)
+            return int(env), "SMC_SEED"
         except ValueError:
             raise ConfigError(f"SMC_SEED: must be an integer, got {env!r}") from None
-    return 0
+    return 0, "seed"
 
 
 def _run_summary(trace: Trace, model) -> str:
@@ -330,15 +257,13 @@ def _parse_dump_list(text: str) -> list:
         raise ConfigError(f"--dump-particles: must be comma-separated integers, got {text!r}") from None
 
 
-def cmd_run(cfg: RunConfig, seed_override, out_path, dump_override=None) -> int:
+def cmd_run(scenario: Scenario, seed: int, seed_source: str, out_path, dumps) -> int:
     try:
-        seed = _resolve_seed(seed_override, cfg.seed)
-        RngStream(seed)  # validate range before running
-        dumps = cfg.dump_particles if dump_override is None else dump_override
-        scenario = build_scenario(cfg)
         trace = run_scenario(scenario, seed, dump_steps=dumps)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # the scenario passed its argument checks when it was built; the seed has not
+        message = f"{seed_source}: {exc.rule}" if isinstance(exc, ArgumentError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
     try:
         write_trace_csv(out_path, trace, scenario.model)
@@ -358,13 +283,11 @@ def _bundled_fixture(name: str):
 
 def _load_fixture(path_arg: str) -> dict:
     path = Path(path_arg)
-    if path.is_file():
-        text = path.read_text()
-    else:
-        bundled = _bundled_fixture(path.name)
-        if bundled is None:
+    if not path.is_file():
+        path = _bundled_fixture(path.name)
+        if path is None:
             raise FixtureError(f"fixture not found: {path_arg}")
-        text = bundled.read_text()
+    text = path.read_text()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -390,22 +313,17 @@ def cmd_golden(fixture_arg: str) -> int:
     try:
         data = _load_fixture(fixture_arg)
         tol_predicted, tol_weights = _tolerances(data["tolerance"])
-        initial = np.asarray(data["initial_particles"], dtype=float)
-        noises = np.asarray(data["noises"], dtype=float)
-        z = np.asarray(data["z"], dtype=float)
         expected_predicted = np.asarray(data["expected_predicted"], dtype=float)
         expected_weights = np.asarray(data["expected_weights"], dtype=float)
-        model = RandomWalk1D(q=1.0, r=float(data.get("r", 4.0)))
-        pset = ParticleSet.uniform(initial if initial.ndim > 1 else initial[:, np.newaxis])
         # threshold 0 keeps the post-step set equal to the predicted/weighted one
         state = FilterState(
-            set=pset,
-            model=model,
+            set=ParticleSet.uniform(data["initial_particles"]),
+            model=RandomWalk1D(q=1.0, r=float(data.get("r", 4.0))),
             policy=ResamplePolicy("systematic", 0.0),
             rng=RngStream(0),
         )
-        step_with_injected_noise(state, z, noises)
-    except (FixtureError, ValueError) as exc:
+        step_with_injected_noise(state, data["z"], data["noises"])
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -441,22 +359,20 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a scenario described by a JSON config")
-    run_p.add_argument("--config", required=True, help="path to the JSON run config")
-    run_p.add_argument("--seed", type=int, default=None, help="seed override (u64)")
-    run_p.add_argument("--out", required=True, help="trace CSV output path")
-    run_p.add_argument("--dump-particles", default=None, metavar="K1,K2,...",
-                       help="steps whose particle clouds go to <out>.particles.csv")
-
     golden_p = sub.add_parser("golden", help="replay a golden-vector fixture")
     golden_p.add_argument("fixture", help="fixture path or bundled fixture name")
 
-    for name, helptext in (("demo-1d", "random-walk tracking preset"),
+    for name, helptext in (("run", "run a scenario described by a JSON config"),
+                           ("demo-1d", "random-walk tracking preset"),
                            ("demo-2d", "constant-velocity tracking preset")):
-        demo_p = sub.add_parser(name, help=helptext)
-        demo_p.add_argument("--seed", type=int, default=None)
-        demo_p.add_argument("--out", default=f"{name}.csv")
-        demo_p.add_argument("--dump-particles", default=None, metavar="K1,K2,...")
+        run_p = sub.add_parser(name, help=helptext)
+        if name == "run":
+            run_p.add_argument("--config", required=True, help="path to the JSON run config")
+        run_p.add_argument("--seed", type=int, default=None, help="seed override (u64)")
+        run_p.add_argument("--out", required=name == "run", default=f"{name}.csv",
+                           help="trace CSV output path")
+        run_p.add_argument("--dump-particles", default=None, metavar="K1,K2,...",
+                           help="steps whose particle clouds go to <out>.particles.csv")
 
     args = parser.parse_args(argv)
 
@@ -466,17 +382,17 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = load_config(args.config)
-        elif args.command == "demo-1d":
-            cfg = demo_1d_config()
         else:
-            cfg = demo_2d_config()
-        dump_override = None
+            cfg = parse_config(DEMOS[args.command])
+        dumps = cfg.dump_particles
         if args.dump_particles is not None:
-            dump_override = _parse_dump_list(args.dump_particles)
+            dumps = _dump_steps(_parse_dump_list(args.dump_particles), "--dump-particles",
+                                cfg.scenario.t_steps)
+        seed, seed_source = _resolve_seed(args.seed, cfg.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return cmd_run(cfg, args.seed, args.out, dump_override)
+    return cmd_run(cfg.scenario, seed, seed_source, args.out, dumps)
 
 
 if __name__ == "__main__":

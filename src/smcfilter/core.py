@@ -8,6 +8,7 @@ domain until a normalized linear view is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -16,6 +17,39 @@ import numpy as np
 
 class AllWeightsCollapsed(Exception):
     """Raised when every log-weight is -inf and no normalization exists."""
+
+
+class ArgumentError(ValueError):
+    """An argument breaks its rule. ``name`` is the argument, ``index`` the
+    first offending element of an array argument (None for a scalar) and
+    ``rule`` the message without them, so a caller can report the error
+    under its own name for the value."""
+
+    def __init__(self, name: str, rule: str, index: int | None = None):
+        super().__init__(f"{name}{'' if index is None else f'[{index}]'} {rule}")
+        self.name, self.rule, self.index = name, rule, index
+
+
+def check_arg(name: str, value, low=None, high=None, strict=False, error=ArgumentError):
+    """Raise ``error`` for argument ``name`` unless every element of ``value``
+    is finite and lies in [low, high], with low itself excluded when
+    ``strict``; a bound of None is open."""
+    bound = None
+    if high is not None:
+        bound = f"must be in [{low:g}, {high:g}]"
+    elif low is not None:
+        bound = f"must be {'>' if strict else '>='} {low:g}"
+    arr = np.asarray(value, dtype=float)
+    for i, v in enumerate(arr.ravel().tolist()):
+        if not math.isfinite(v):
+            rule = "must be finite"
+        elif (low is not None and (v < low or strict and v == low)) or (high is not None and v > high):
+            rule = bound
+        else:
+            continue
+        if arr.ndim == 0:
+            raise error(name, f"{rule}, got {value}")
+        raise error(name, f"{rule}, got {v}", i)
 
 
 class RngStream:
@@ -31,7 +65,7 @@ class RngStream:
     def __init__(self, seed: int):
         seed = int(seed)
         if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+            raise ArgumentError("seed", f"must be an unsigned 64-bit integer, got {seed}")
         self._seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
 

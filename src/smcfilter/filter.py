@@ -16,8 +16,10 @@ import numpy as np
 
 from .core import (
     AllWeightsCollapsed,
+    ArgumentError,
     ParticleSet,
     RngStream,
+    check_arg,
     map_estimate,
     normalize_weights,
     normalized_log_weights,
@@ -35,8 +37,8 @@ from .resampling import (
 ESTIMATORS = ("weighted_mean", "map")
 
 
-class InvalidPrior(ValueError):
-    """Prior standard deviations must be nonnegative."""
+class InvalidPrior(ArgumentError):
+    """Prior means must be finite, standard deviations finite and nonnegative."""
 
 
 @dataclass
@@ -51,10 +53,10 @@ class GaussianPrior:
         self.std = np.atleast_1d(np.asarray(self.std, dtype=float))
         if self.mean.shape != self.std.shape:
             raise InvalidPrior(
-                f"mean shape {self.mean.shape} does not match std shape {self.std.shape}"
+                "std", f"has shape {self.std.shape}, mean has shape {self.mean.shape}"
             )
-        if np.any(self.std < 0):
-            raise InvalidPrior(f"prior std must be >= 0, got {self.std}")
+        check_arg("mean", self.mean, error=InvalidPrior)
+        check_arg("std", self.std, low=0.0, error=InvalidPrior)
 
     @property
     def dim(self) -> int:
@@ -95,6 +97,14 @@ def _estimate(state: FilterState) -> np.ndarray:
     return weighted_mean(state.set)
 
 
+def check_settings(n_particles: int, estimator: str) -> None:
+    """init's rules for the particle count and the estimator; Scenario applies
+    them at construction."""
+    check_arg("n_particles", n_particles, low=1)
+    if estimator not in ESTIMATORS:
+        raise ArgumentError("estimator", f"must be one of {ESTIMATORS}, got {estimator!r}")
+
+
 def init(
     model,
     prior: GaussianPrior,
@@ -108,10 +118,7 @@ def init(
     Draws happen in particle-index order, components in order within each
     particle, which fixes the stream layout for reproducibility.
     """
-    if n_particles < 1:
-        raise ValueError(f"n_particles must be >= 1, got {n_particles}")
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    check_settings(n_particles, estimator)
     if prior.dim != model.state_dim:
         raise DimensionMismatch(
             f"prior has dimension {prior.dim}, model expects {model.state_dim}"

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, check_arg
 
 
 class DimensionMismatch(ValueError):
@@ -35,8 +35,8 @@ class StateSpaceModel:
     """Contract shared by all models.
 
     Subclasses define ``state_dim`` (n), ``control_dim`` (m), ``obs_dim``
-    (o), diagonal noise variances ``process_var`` (length n, >= 0) and
-    ``meas_var`` (length o, > 0), the deterministic motion ``f(x, u)`` and
+    (o), finite diagonal noise variances ``process_var`` (length n, >= 0)
+    and ``meas_var`` (length o, > 0), the deterministic motion ``f(x, u)`` and
     the observation map ``h(x)``. Instances are immutable after
     construction and safe for concurrent read-only use, so the constants
     derived from the variances are built once per instance.
@@ -96,10 +96,8 @@ class RandomWalk1D(StateSpaceModel):
     obs_labels = ("x",)
 
     def __post_init__(self):
-        if self.q < 0:
-            raise ValueError(f"process-noise variance q must be >= 0, got {self.q}")
-        if self.r <= 0:
-            raise ValueError(f"measurement-noise variance r must be > 0, got {self.r}")
+        check_arg("q", self.q, low=0.0)
+        check_arg("r", self.r, low=0.0, strict=True)
 
     @cached_property
     def process_var(self) -> np.ndarray:
@@ -140,12 +138,9 @@ class ConstantVelocity2D(StateSpaceModel):
     obs_labels = ("px", "py")
 
     def __post_init__(self):
-        if self.dt < 0:
-            raise ValueError(f"dt must be >= 0, got {self.dt}")
-        if self.q_pos < 0 or self.q_vel < 0:
-            raise ValueError("process-noise variances must be >= 0")
-        if self.r_meas <= 0:
-            raise ValueError(f"measurement-noise variance must be > 0, got {self.r_meas}")
+        for name in ("dt", "q_pos", "q_vel"):
+            check_arg(name, getattr(self, name), low=0.0)
+        check_arg("r_meas", self.r_meas, low=0.0, strict=True)
 
     def transition_matrix(self) -> np.ndarray:
         dt = self.dt
@@ -171,7 +166,11 @@ class ConstantVelocity2D(StateSpaceModel):
         return _read_only(np.array([self.r_meas, self.r_meas]))
 
     def f(self, x, u=None):
-        return np.asarray(x, dtype=float) @ self._transition_t
+        # Near the largest double, p + v dt can overflow. The inf (or NaN) it
+        # leaves is rejected by the filter step's finite guard, which raises
+        # in place of the warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(x, dtype=float) @ self._transition_t
 
     def h(self, x):
         """Read-only view of the position components of x."""

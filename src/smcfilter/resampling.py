@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
+from .core import ArgumentError, RngStream, check_arg
 
 SCHEMES = ("systematic", "multinomial")
 
@@ -32,11 +32,8 @@ class ResamplePolicy:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not 0.0 <= self.threshold_fraction <= 1.0:
-            raise ValueError(
-                f"threshold_fraction must be in [0, 1], got {self.threshold_fraction}"
-            )
+            raise ArgumentError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
+        check_arg("threshold_fraction", self.threshold_fraction, low=0.0, high=1.0)
 
 
 def _checked(weights) -> np.ndarray:

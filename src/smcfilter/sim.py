@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filter as sir
-from .core import RngStream, weighted_mean
+from .core import RngStream, check_arg, weighted_mean
 from .filter import FilterState, GaussianPrior
 from .models import (
     DimensionMismatch,
@@ -27,7 +27,8 @@ from .resampling import ResamplePolicy, effective_sample_size
 
 @dataclass
 class Scenario:
-    """Generative description of one tracking experiment."""
+    """Generative description of one tracking experiment. Construction applies
+    every rule the run applies to these fields, init's included."""
 
     model: object
     t_steps: int
@@ -38,14 +39,15 @@ class Scenario:
     estimator: str = "weighted_mean"
 
     def __post_init__(self):
-        if self.t_steps < 1:
-            raise ValueError(f"t_steps must be >= 1, got {self.t_steps}")
+        check_arg("t_steps", self.t_steps, low=1)
         self.initial_truth = np.atleast_1d(np.asarray(self.initial_truth, dtype=float))
         n = self.model.state_dim
         if self.initial_truth.shape != (n,):
             raise DimensionMismatch(
                 f"initial_truth has shape {self.initial_truth.shape}, model expects ({n},)"
             )
+        check_arg("initial_truth", self.initial_truth)
+        sir.check_settings(self.n_particles, self.estimator)
         if self.prior.dim != n:
             raise DimensionMismatch(
                 f"prior has dimension {self.prior.dim}, model expects {n}"

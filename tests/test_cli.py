@@ -1,16 +1,21 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from smcfilter import cli
-from smcfilter.cli import (
-    ConfigError,
-    demo_1d_config,
-    demo_2d_config,
-    load_config,
-    parse_config,
-    serialize_config,
-)
+from smcfilter.cli import ConfigError, build_scenario, load_config, parse_config
+from smcfilter.resampling import ResamplePolicy
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+CV2D = {
+    "scenario": "cv2d",
+    "model": {"dt": 1.0, "q_pos": 0.2, "q_vel": 0.05, "r": 2.0},
+    "prior": {"mean": [0.0] * 4, "std": [2.0] * 4},
+    "initial_truth": [0.0, 0.0, 1.0, 0.5],
+}
 
 
 def sample_config(**overrides):
@@ -38,35 +43,13 @@ def write_config(tmp_path, data, name="config.json"):
 
 
 class TestConfigParsing:
-    def test_round_trip(self):
-        cfg = parse_config(sample_config(dump_particles=[0, 3], seed=42))
-        assert parse_config(serialize_config(cfg)) == cfg
-
-    def test_round_trip_cv2d(self):
-        cfg = parse_config(
-            sample_config(
-                scenario="cv2d",
-                model={"dt": 1.0, "q_pos": 0.2, "q_vel": 0.05, "r": 2.0},
-                prior={"mean": [0.0] * 4, "std": [2.0] * 4},
-                initial_truth=[0.0, 0.0, 1.0, 0.5],
-                estimator="map",
-                resampler="multinomial",
-            )
-        )
-        assert parse_config(serialize_config(cfg)) == cfg
-
-    def test_round_trip_demo_presets(self):
-        for cfg in (demo_1d_config(), demo_2d_config()):
-            assert parse_config(serialize_config(cfg)) == cfg
-
     def test_defaults_applied(self):
         data = sample_config()
         for key in ("resampler", "threshold_fraction", "estimator", "seed", "dump_particles"):
             data.pop(key)
         cfg = parse_config(data)
-        assert cfg.resampler == "systematic"
-        assert cfg.threshold_fraction == 0.5
-        assert cfg.estimator == "weighted_mean"
+        assert cfg.scenario.policy == ResamplePolicy("systematic", 0.5)
+        assert cfg.scenario.estimator == "weighted_mean"
         assert cfg.seed is None
         assert cfg.dump_particles == []
 
@@ -89,11 +72,40 @@ class TestConfigParsing:
             ({"seed": -3}, "seed"),
             ({"dump_particles": [12]}, "dump_particles[0]"),
             ({"extra_field": 1}, "extra_field"),
+            ({"N": 0}, "N"),
+            ({**CV2D, "model": {**CV2D["model"], "q_pos": -0.1}}, "model.q_pos"),
+            ({**CV2D, "model": {**CV2D["model"], "r": 0.0}}, "model.r"),
+            ({"model": {"q": float("nan"), "r": 4.0}}, "model.q"),
+            ({"model": {"q": 1.0, "r": float("inf")}}, "model.r"),
+            ({"prior": {"mean": [0.0], "std": [float("inf")]}}, "prior.std[0]"),
+            ({"prior": {"mean": [float("-inf")], "std": [2.0]}}, "prior.mean[0]"),
+            ({"initial_truth": [float("nan")]}, "initial_truth[0]"),
+            ({**CV2D, "model": {**CV2D["model"], "dt": float("inf")}}, "model.dt"),
+            ({"threshold_fraction": float("nan")}, "threshold_fraction"),
+            ({"resampler": ["systematic"]}, "resampler"),
+            ({"scenario": ["rw1d"]}, "scenario"),
+            ({"seed": 2**64}, "seed"),
+            ({"dump_particles": [-1]}, "dump_particles[0]"),
+            ({"prior": {"mean": [0.0]}}, "prior.std"),
         ],
     )
     def test_field_path_in_error(self, mutation, path):
-        with pytest.raises(ConfigError, match=path.replace("[", r"\[")):
+        # the message starts with exactly this path: model.r, not model.r_meas
+        with pytest.raises(ConfigError, match="^" + re.escape(path) + ": "):
             parse_config(sample_config(**mutation))
+
+    def test_non_finite_json_values_rejected(self, tmp_path):
+        # Python's json reads NaN and Infinity; the model rejects them when built
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(sample_config(model={"q": float("nan"), "r": 4.0})))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ConfigError, match=r"^model\.q: must be finite, got nan$"):
+            load_config(path)
+
+    def test_library_message_under_field_path(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(sample_config(model={"q": 1.0, "r": -4.0}))
+        assert str(info.value) == "model.r: must be > 0, got -4.0"
 
     def test_missing_required_field(self):
         data = sample_config()
@@ -196,6 +208,31 @@ class TestRunCommand:
         rc = cli.main(["run", "--config", config, "--out", str(tmp_path / "t.csv")])
         assert rc == 1
         assert "SMC_SEED" in capsys.readouterr().err
+        monkeypatch.setenv("SMC_SEED", "-3")
+        rc = cli.main(["run", "--config", config, "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: SMC_SEED: must be an unsigned 64-bit integer, got -3\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_out_of_range_seed_flag_exits_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, sample_config())
+        rc = cli.main(["run", "--config", config, "--seed", str(2**64),
+                       "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --seed: must be an unsigned 64-bit integer, got {2**64}\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_config_seed_error_names_field(self, tmp_path, capsys):
+        config = write_config(tmp_path, sample_config(seed=-3))
+        rc = cli.main(["run", "--config", config, "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: seed: must be an unsigned 64-bit integer, got -3\n"
+        )
 
     def test_particle_dump(self, tmp_path):
         config = write_config(tmp_path, sample_config(dump_particles=[0, 5]))
@@ -217,6 +254,16 @@ class TestRunCommand:
         assert rc == 0
         lines = (tmp_path / "trace.csv.particles.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 50
+
+    @pytest.mark.parametrize("steps", ["99,-1", "10", "-1", "1,2,x"])
+    def test_dump_override_flag_checked(self, tmp_path, capsys, steps):
+        config = write_config(tmp_path, sample_config())  # T=10
+        out = tmp_path / "trace.csv"
+        rc = cli.main(["run", "--config", config, "--out", str(out), "--dump-particles", steps])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --dump-particles")
+        assert not out.exists()
+        assert not (tmp_path / "trace.csv.particles.csv").exists()
 
     def test_float_format_nine_significant_digits(self, tmp_path):
         config = write_config(tmp_path, sample_config())
@@ -273,3 +320,25 @@ class TestGoldenCommand:
         path = tmp_path / "garbage.json"
         path.write_text("{{{")
         assert cli.main(["golden", str(path)]) == 2
+
+
+def _readme_block(heading: str) -> str:
+    """The first fenced code block under a README heading."""
+    text = README.read_text()
+    section = text[text.index(heading):]
+    return re.search(r"```json\n(.*?)```", section, re.S).group(1)
+
+
+class TestReadmeExamples:
+    def test_run_config_block_parses(self):
+        data = json.loads(_readme_block("### Run config (JSON)"))
+        cfg = parse_config(data)
+        scenario = build_scenario(cfg)
+        assert (scenario.t_steps, scenario.n_particles) == (data["T"], data["N"])
+        assert (cfg.seed, cfg.dump_particles) == (data["seed"], data["dump_particles"])
+
+    def test_golden_fixture_block_passes(self, tmp_path, capsys):
+        path = tmp_path / "readme_fixture.json"
+        path.write_text(_readme_block("### Golden fixture (JSON)"))
+        assert cli.main(["golden", str(path)]) == 0
+        assert "golden fixture ok" in capsys.readouterr().out

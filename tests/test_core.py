@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from smcfilter.core import (
     AllWeightsCollapsed,
+    ArgumentError,
     ParticleSet,
     RngStream,
+    check_arg,
     map_estimate,
     monte_carlo_expectation,
     normalize_weights,
@@ -176,8 +178,14 @@ class TestRngStream:
 
     @pytest.mark.parametrize("bad", [-1, 2**64])
     def test_seed_range_validated(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError) as info:
             RngStream(bad)
+        assert info.value.name == "seed"
+        assert info.value.rule == f"must be an unsigned 64-bit integer, got {bad}"
+
+    def test_seed_range_edges_accepted(self):
+        assert RngStream(0).seed == 0
+        assert RngStream(2**64 - 1).seed == 2**64 - 1
 
 
 class TestParticleSet:
@@ -201,3 +209,41 @@ class TestParticleSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ParticleSet(np.zeros((0, 2)), np.zeros(0))
+
+
+class TestCheckArg:
+    @pytest.mark.parametrize(
+        "value, kwargs",
+        [(0.0, {"low": 0.0}), (1e300, {"low": 0.0}), (1e-300, {"low": 0.0, "strict": True}),
+         (0.0, {"low": 0.0, "high": 1.0}), (1.0, {"low": 0.0, "high": 1.0}),
+         (-5.0, {}), ([0.0, 2.0], {"low": 0.0}), (np.array([[1.0]]), {"low": 1})],
+    )
+    def test_accepts(self, value, kwargs):
+        check_arg("x", value, **kwargs)
+
+    @pytest.mark.parametrize(
+        "value, kwargs, rule, index",
+        [
+            (-0.5, {"low": 0.0}, "must be >= 0, got -0.5", None),
+            (0.0, {"low": 0.0, "strict": True}, "must be > 0, got 0.0", None),
+            (0, {"low": 1}, "must be >= 1, got 0", None),
+            (1.5, {"low": 0.0, "high": 1.0}, "must be in [0, 1], got 1.5", None),
+            (float("nan"), {"low": 0.0, "high": 1.0}, "must be finite, got nan", None),
+            (float("-inf"), {}, "must be finite, got -inf", None),
+            ([1.0, float("inf"), -1.0], {"low": 0.0}, "must be finite, got inf", 1),
+            ([1.0, 2.0, -1.0], {"low": 0.0}, "must be >= 0, got -1.0", 2),
+        ],
+    )
+    def test_rejects_naming_argument_and_element(self, value, kwargs, rule, index):
+        with pytest.raises(ArgumentError) as info:
+            check_arg("x", value, **kwargs)
+        assert (info.value.name, info.value.rule, info.value.index) == ("x", rule, index)
+        where = "x" if index is None else f"x[{index}]"
+        assert str(info.value) == f"{where} {rule}"
+
+    def test_error_class_is_the_callers(self):
+        class Custom(ArgumentError):
+            pass
+
+        with pytest.raises(Custom):
+            check_arg("x", -1.0, low=0.0, error=Custom)

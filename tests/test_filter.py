@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smcfilter.core import ParticleSet, RngStream
+from smcfilter.core import ArgumentError, ParticleSet, RngStream
 from smcfilter.filter import (
     FilterState,
     GaussianPrior,
@@ -12,7 +12,12 @@ from smcfilter.filter import (
     step,
     step_with_injected_noise,
 )
-from smcfilter.models import DimensionMismatch, NonFiniteMeasurement, RandomWalk1D
+from smcfilter.models import (
+    ConstantVelocity2D,
+    DimensionMismatch,
+    NonFiniteMeasurement,
+    RandomWalk1D,
+)
 from smcfilter.resampling import ResamplePolicy, effective_sample_size
 
 RW = RandomWalk1D(q=1.0, r=4.0)
@@ -63,16 +68,36 @@ class TestInit:
         with pytest.raises(InvalidPrior):
             init(RW, GaussianPrior([0.0], [-1.0]), 5, RngStream(1))
 
+    @pytest.mark.parametrize(
+        "mean, std, name, index",
+        [
+            ([np.nan], [1.0], "mean", 0),
+            ([0.0, np.inf], [1.0, 1.0], "mean", 1),
+            ([0.0], [np.inf], "std", 0),
+            ([0.0, 0.0], [1.0, -np.inf], "std", 1),
+            ([0.0, 0.0], [np.nan, 1.0], "std", 0),
+        ],
+    )
+    def test_non_finite_prior_rejected(self, mean, std, name, index):
+        with pytest.raises(InvalidPrior) as info:
+            GaussianPrior(mean, std)
+        assert (info.value.name, info.value.index) == (name, index)
+        assert info.value.rule.startswith("must be finite")
+
+    def test_negative_std_names_element(self):
+        with pytest.raises(InvalidPrior, match=r"^std\[1\] must be >= 0, got -1\.0$"):
+            GaussianPrior([0.0, 0.0], [1.0, -1.0])
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             init(RW, GaussianPrior([0.0, 0.0], [1.0, 1.0]), 5, RngStream(1))
 
     def test_invalid_particle_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError, match="^n_particles must be >= 1, got 0$"):
             init(RW, GaussianPrior([0.0], [1.0]), 0, RngStream(1))
 
     def test_unknown_estimator_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError, match="^estimator must be one of"):
             init(RW, GaussianPrior([0.0], [1.0]), 5, RngStream(1), estimator="median")
 
 
@@ -207,6 +232,21 @@ class TestStep:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="particles must be finite"):
                 step_with_injected_noise(state, 0.0, np.full(5, 1.5e308))
+        assert state.set is before
+        assert np.array_equal(before.particles, particles)
+        assert np.array_equal(before.log_weights, log_weights)
+        assert before.generation == 0
+
+    def test_cv2d_propagate_overflow_raises_value_error(self):
+        # px + vx * dt passes the largest double inside the model's matmul
+        cv = ConstantVelocity2D()
+        state = init(cv, GaussianPrior([1e308, 0.0, 1e308, 0.0], [0.0] * 4), 3, RngStream(1))
+        before = state.set
+        particles, log_weights = before.particles.copy(), before.log_weights.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="particles must be finite"):
+                step(state, [0.0, 0.0])
         assert state.set is before
         assert np.array_equal(before.particles, particles)
         assert np.array_equal(before.log_weights, log_weights)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smcfilter.core import RngStream
+from smcfilter.core import ArgumentError, RngStream
 from smcfilter.models import (
     ConstantVelocity2D,
     DimensionMismatch,
@@ -32,17 +32,41 @@ class TestConstruction:
         np.testing.assert_array_equal(CV.process_var, [0.2, 0.2, 0.05, 0.05])
         np.testing.assert_array_equal(CV.meas_var, [2.0, 2.0])
 
-    @pytest.mark.parametrize("kwargs", [{"q": -0.1}, {"r": 0.0}, {"r": -1.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"q": -0.1}, {"r": 0.0}, {"r": -1.0},
+         {"q": math.nan}, {"q": math.inf}, {"r": math.inf}, {"r": -math.inf}],
+    )
     def test_rw1d_invalid_variances(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError) as info:
             RandomWalk1D(**kwargs)
+        assert info.value.name == next(iter(kwargs))
 
     @pytest.mark.parametrize(
-        "kwargs", [{"dt": -1.0}, {"q_pos": -0.1}, {"q_vel": -0.1}, {"r_meas": 0.0}]
+        "kwargs",
+        [{"dt": -1.0}, {"q_pos": -0.1}, {"q_vel": -0.1}, {"r_meas": 0.0},
+         {"dt": math.inf}, {"dt": math.nan}, {"q_pos": math.nan}, {"q_vel": math.inf},
+         {"r_meas": math.nan}],
     )
     def test_cv2d_invalid_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError) as info:
             ConstantVelocity2D(**kwargs)
+        assert info.value.name == next(iter(kwargs))
+
+    def test_error_names_argument_and_rule(self):
+        with pytest.raises(ArgumentError) as info:
+            ConstantVelocity2D(q_pos=math.nan)
+        assert (info.value.name, info.value.rule, info.value.index) == (
+            "q_pos", "must be finite, got nan", None)
+        assert str(info.value) == "q_pos must be finite, got nan"
+        with pytest.raises(ArgumentError, match=r"^r_meas must be > 0, got 0\.0$"):
+            ConstantVelocity2D(r_meas=0.0)
+        with pytest.raises(ArgumentError, match=r"^q must be >= 0, got -0\.1$"):
+            RandomWalk1D(q=-0.1)
+
+    def test_zero_variances_and_dt_allowed(self):
+        assert RandomWalk1D(q=0.0).q == 0.0
+        assert ConstantVelocity2D(dt=0.0, q_pos=0.0, q_vel=0.0).dt == 0.0
 
 
 class TestConstants:

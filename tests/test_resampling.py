@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcfilter.core import RngStream
+from smcfilter.core import ArgumentError, RngStream
 from smcfilter.resampling import (
     NotNormalized,
     ResamplePolicy,
@@ -190,3 +190,13 @@ class TestResamplePolicy:
     def test_fraction_bounds(self, fraction):
         with pytest.raises(ValueError):
             ResamplePolicy("systematic", fraction)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [(("stratified", 0.5), "scheme"), (("systematic", float("nan")), "threshold_fraction"),
+         (("systematic", float("inf")), "threshold_fraction")],
+    )
+    def test_error_names_argument(self, args, name):
+        with pytest.raises(ArgumentError) as info:
+            ResamplePolicy(*args)
+        assert info.value.name == name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smcfilter.core import RngStream
+from smcfilter.core import ArgumentError, RngStream
 from smcfilter.filter import GaussianPrior
 from smcfilter.models import ConstantVelocity2D, DimensionMismatch, RandomWalk1D
 from smcfilter.resampling import ResamplePolicy
@@ -179,6 +179,31 @@ class TestScenarioValidation:
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
             rw_scenario(t=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"t": 0}, "t_steps"),
+            ({"n": 0}, "n_particles"),
+            ({"initial": float("nan")}, "initial_truth"),
+            ({"initial": float("-inf")}, "initial_truth"),
+        ],
+    )
+    def test_construction_names_the_failed_argument(self, kwargs, name):
+        with pytest.raises(ArgumentError) as info:
+            rw_scenario(**kwargs)
+        assert info.value.name == name
+
+    def test_estimator_checked_at_construction(self):
+        with pytest.raises(ArgumentError, match="^estimator must be one of"):
+            Scenario(
+                model=RandomWalk1D(),
+                t_steps=5,
+                prior=GaussianPrior([0.0], [1.0]),
+                initial_truth=[0.0],
+                n_particles=10,
+                estimator="mode",
+            )
 
     def test_initial_truth_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
