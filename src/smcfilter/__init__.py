@@ -6,7 +6,6 @@ from .core import (
     ParticleSet,
     RngStream,
     map_estimate,
-    monte_carlo_expectation,
     normalize_weights,
     weighted_mean,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "Trace",
     "effective_sample_size",
     "map_estimate",
-    "monte_carlo_expectation",
     "multinomial_resample",
     "normalize_weights",
     "rmse",

@@ -79,7 +79,10 @@ def _fail(path: str, message: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, f"must be finite, got {value}")
 
 
 def _integer(value, path: str) -> int:
@@ -170,7 +173,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
 
@@ -184,6 +187,15 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _write_csv(path, columns, rows) -> None:
+    """Write the header and then each row, a list of strings, as one line."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(row))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_trace_csv(path, trace: Trace, model) -> None:
     """Fixed column order: k, truth_*, meas_*, est_*, ess, resampled, degenerate."""
     columns = (
@@ -193,28 +205,27 @@ def write_trace_csv(path, trace: Trace, model) -> None:
         + [f"est_{c}" for c in model.state_labels]
         + ["ess", "resampled", "degenerate"]
     )
-    lines = [",".join(columns)]
-    for rec in trace.records:
-        row = [str(rec.k)]
-        row += [_fmt(v) for v in rec.truth]
-        row += [_fmt(v) for v in rec.measurement]
-        row += [_fmt(v) for v in rec.estimate]
-        row += [_fmt(rec.ess), "1" if rec.resampled else "0", "1" if rec.degenerate else "0"]
-        lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+
+    def rows():
+        for rec in trace.records:
+            row = [str(rec.k)]
+            row += [_fmt(v) for v in rec.truth]
+            row += [_fmt(v) for v in rec.measurement]
+            row += [_fmt(v) for v in rec.estimate]
+            row += [_fmt(rec.ess), "1" if rec.resampled else "0", "1" if rec.degenerate else "0"]
+            yield row
+
+    _write_csv(path, columns, rows())
 
 
 def write_particles_csv(path, trace: Trace, model) -> None:
-    columns = ["k", "i", "weight"] + list(model.state_labels)
-    lines = [",".join(columns)]
-    for k in sorted(trace.snapshots):
-        particles, weights = trace.snapshots[k]
-        for i in range(particles.shape[0]):
-            row = [str(k), str(i), _fmt(weights[i])] + [_fmt(v) for v in particles[i]]
-            lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    def rows():
+        for k in sorted(trace.snapshots):
+            particles, weights = trace.snapshots[k]
+            for i in range(particles.shape[0]):
+                yield [str(k), str(i), _fmt(weights[i])] + [_fmt(v) for v in particles[i]]
+
+    _write_csv(path, ["k", "i", "weight"] + list(model.state_labels), rows())
 
 
 def _resolve_seed(cli_seed, cfg_seed) -> tuple[int, str]:
@@ -290,7 +301,7 @@ def _load_fixture(path_arg: str) -> dict:
     text = path.read_text()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise FixtureError(f"fixture {path_arg} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FixtureError(f"fixture {path_arg}: root must be a JSON object")
@@ -305,7 +316,8 @@ def _tolerances(tol) -> tuple[float, float]:
     if isinstance(tol, (int, float)) and not isinstance(tol, bool):
         return float(tol), float(tol)
     if isinstance(tol, dict) and set(tol) <= {"predicted", "weights"}:
-        return float(tol.get("predicted", 1e-9)), float(tol.get("weights", 1e-9))
+        return (_number(tol.get("predicted", 1e-9), "tolerance.predicted"),
+                _number(tol.get("weights", 1e-9), "tolerance.weights"))
     raise FixtureError(f"tolerance: must be a number or {{'predicted': .., 'weights': ..}}, got {tol!r}")
 
 
@@ -313,21 +325,21 @@ def cmd_golden(fixture_arg: str) -> int:
     try:
         data = _load_fixture(fixture_arg)
         tol_predicted, tol_weights = _tolerances(data["tolerance"])
-        expected_predicted = np.asarray(data["expected_predicted"], dtype=float)
+        expected_predicted = np.asarray(data["expected_predicted"], dtype=float).ravel()
         expected_weights = np.asarray(data["expected_weights"], dtype=float)
         # threshold 0 keeps the post-step set equal to the predicted/weighted one
         state = FilterState(
             set=ParticleSet.uniform(data["initial_particles"]),
-            model=RandomWalk1D(q=1.0, r=float(data.get("r", 4.0))),
+            model=RandomWalk1D(q=1.0, r=_number(data.get("r", 4.0), "r")),
             policy=ResamplePolicy("systematic", 0.0),
             rng=RngStream(0),
         )
         step_with_injected_noise(state, data["z"], data["noises"])
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # a malformed field fails to convert
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    predicted = state.set.particles.reshape(expected_predicted.shape)
+    predicted = state.set.particles.ravel()
     weights = state.set.weights
     failures = []
     for name, actual, expected, tol in (

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +38,10 @@ def check_arg(name: str, value, low=None, high=None, strict=False, error=Argumen
         bound = f"must be in [{low:g}, {high:g}]"
     elif low is not None:
         bound = f"must be {'>' if strict else '>='} {low:g}"
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise error(name, f"must be finite, got {value}") from None
     for i, v in enumerate(arr.ravel().tolist()):
         if not math.isfinite(v):
             rule = "must be finite"
@@ -87,14 +89,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self._seed})"
-
-
-def as_state(x) -> np.ndarray:
-    """Coerce a scalar or sequence to a 1-D float state vector."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"state must be 1-D, got shape {arr.shape}")
-    return arr
 
 
 @dataclass
@@ -208,13 +202,3 @@ def map_estimate(particle_set: ParticleSet) -> np.ndarray:
     """Particle with the largest weight; ties go to the lowest index."""
     idx = int(np.argmax(particle_set.log_weights))
     return particle_set.particles[idx].copy()
-
-
-def monte_carlo_expectation(
-    g: Callable[[np.ndarray], float], samples: Iterable[Sequence[float]]
-) -> float:
-    """Arithmetic mean of g over the samples, (1/N) sum g(x_i)."""
-    values = [float(g(as_state(x))) for x in samples]
-    if not values:
-        raise ValueError("need at least one sample")
-    return float(np.mean(values))

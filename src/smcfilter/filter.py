@@ -5,7 +5,7 @@ resample adaptively, and estimate.
 New particles are proposed directly from the motion model, so each weight
 update multiplies the previous weight by the measurement likelihood alone.
 A FilterState is owned by one logical thread at a time; steps mutate it in
-place and also hand it back inside the StepOutcome.
+place and return a StepOutcome with the step's estimate and diagnostics.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class StepOutcome:
     ess: float
     resampled: bool
     degenerate: bool
-    state: FilterState
 
 
 def _estimate(state: FilterState) -> np.ndarray:
@@ -97,12 +96,16 @@ def _estimate(state: FilterState) -> np.ndarray:
     return weighted_mean(state.set)
 
 
-def check_settings(n_particles: int, estimator: str) -> None:
-    """init's rules for the particle count and the estimator; Scenario applies
-    them at construction."""
+def check_settings(model, prior: GaussianPrior, n_particles: int, estimator: str) -> None:
+    """init's rules for the particle count, the estimator and the prior's
+    dimension; Scenario applies them at construction."""
     check_arg("n_particles", n_particles, low=1)
     if estimator not in ESTIMATORS:
         raise ArgumentError("estimator", f"must be one of {ESTIMATORS}, got {estimator!r}")
+    if prior.dim != model.state_dim:
+        raise DimensionMismatch(
+            f"prior has dimension {prior.dim}, model expects {model.state_dim}"
+        )
 
 
 def init(
@@ -118,11 +121,7 @@ def init(
     Draws happen in particle-index order, components in order within each
     particle, which fixes the stream layout for reproducibility.
     """
-    check_settings(n_particles, estimator)
-    if prior.dim != model.state_dim:
-        raise DimensionMismatch(
-            f"prior has dimension {prior.dim}, model expects {model.state_dim}"
-        )
+    check_settings(model, prior, n_particles, estimator)
     draws = rng.standard_normal((n_particles, prior.dim))
     particles = prior.mean + prior.std * draws
     return FilterState(
@@ -180,11 +179,10 @@ def _advance(state: FilterState, z, predicted: np.ndarray, resample_u) -> StepOu
         ess=ess,
         resampled=resampled,
         degenerate=degenerate,
-        state=state,
     )
 
 
-def step(state: FilterState, z, u=None) -> StepOutcome:
+def step(state: FilterState, z) -> StepOutcome:
     """Advance the filter by one measurement.
 
     The measurement is checked first: a wrong shape or a non-finite
@@ -199,13 +197,11 @@ def step(state: FilterState, z, u=None) -> StepOutcome:
     pset = state.set
     noises = state.rng.standard_normal((pset.n_particles, pset.dim))
     noises *= model.process_std
-    predicted = propagate(model, pset.particles, noises, u)
+    predicted = propagate(model, pset.particles, noises)
     return _advance(state, z, predicted, resample_u=None)
 
 
-def step_with_injected_noise(
-    state: FilterState, z, noises, resample_u=None, u=None
-) -> StepOutcome:
+def step_with_injected_noise(state: FilterState, z, noises, resample_u=None) -> StepOutcome:
     """Like step, but with caller-supplied process noises (one per particle).
 
     Test seam for replaying worked numerical fixtures: bypasses the
@@ -226,5 +222,5 @@ def step_with_injected_noise(
     # of the largest double), so only this seam silences overflow in
     # propagate. The inf it leaves is rejected by _advance's finite guard.
     with np.errstate(over="ignore"):
-        predicted = propagate(model, state.set.particles, noises, u)
+        predicted = propagate(model, state.set.particles, noises)
     return _advance(state, z, predicted, resample_u)

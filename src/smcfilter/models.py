@@ -1,6 +1,6 @@
 """State-space model contracts and the two built-in tracking models.
 
-A model pairs a motion contract f(x, u) + process noise (diagonal variances
+A model pairs a motion contract f(x) + process noise (diagonal variances
 Q) with a measurement contract h(x) + sensor noise (diagonal variances R).
 The free functions below operate on any object satisfying the contract and
 accept both single states (n,) and particle batches (N, n); the state axis
@@ -19,7 +19,7 @@ from .core import RngStream, check_arg
 
 
 class DimensionMismatch(ValueError):
-    """State, control, noise, or observation length does not fit the model."""
+    """State, noise, or observation length does not fit the model."""
 
 
 class NonFiniteMeasurement(ValueError):
@@ -34,16 +34,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class StateSpaceModel:
     """Contract shared by all models.
 
-    Subclasses define ``state_dim`` (n), ``control_dim`` (m), ``obs_dim``
-    (o), finite diagonal noise variances ``process_var`` (length n, >= 0)
-    and ``meas_var`` (length o, > 0), the deterministic motion ``f(x, u)`` and
-    the observation map ``h(x)``. Instances are immutable after
-    construction and safe for concurrent read-only use, so the constants
-    derived from the variances are built once per instance.
+    Subclasses define ``state_dim`` (n), ``obs_dim`` (o), finite diagonal
+    noise variances ``process_var`` (length n, >= 0) and ``meas_var``
+    (length o, > 0), the deterministic motion ``f(x)`` and the observation
+    map ``h(x)``. Instances are immutable after construction and safe for
+    concurrent read-only use, so the constants derived from the variances
+    are built once per instance.
     """
 
     state_dim: int
-    control_dim: int
     obs_dim: int
     state_labels: tuple[str, ...]
     obs_labels: tuple[str, ...]
@@ -56,7 +55,7 @@ class StateSpaceModel:
     def meas_var(self) -> np.ndarray:
         raise NotImplementedError
 
-    def f(self, x: np.ndarray, u=None) -> np.ndarray:
+    def f(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def h(self, x: np.ndarray) -> np.ndarray:
@@ -90,7 +89,6 @@ class RandomWalk1D(StateSpaceModel):
     r: float = 4.0
 
     state_dim = 1
-    control_dim = 0
     obs_dim = 1
     state_labels = ("x",)
     obs_labels = ("x",)
@@ -107,7 +105,7 @@ class RandomWalk1D(StateSpaceModel):
     def meas_var(self) -> np.ndarray:
         return _read_only(np.array([self.r]))
 
-    def f(self, x, u=None):
+    def f(self, x):
         return np.asarray(x, dtype=float).copy()
 
     def h(self, x):
@@ -132,7 +130,6 @@ class ConstantVelocity2D(StateSpaceModel):
     r_meas: float = 2.0
 
     state_dim = 4
-    control_dim = 0
     obs_dim = 2
     state_labels = ("px", "py", "vx", "vy")
     obs_labels = ("px", "py")
@@ -142,9 +139,11 @@ class ConstantVelocity2D(StateSpaceModel):
             check_arg(name, getattr(self, name), low=0.0)
         check_arg("r_meas", self.r_meas, low=0.0, strict=True)
 
-    def transition_matrix(self) -> np.ndarray:
+    @cached_property
+    def _transition_t(self) -> np.ndarray:
+        """The transposed transition matrix, so that f(x) = x @ F.T."""
         dt = self.dt
-        return np.array(
+        transition = np.array(
             [
                 [1.0, 0.0, dt, 0.0],
                 [0.0, 1.0, 0.0, dt],
@@ -152,10 +151,7 @@ class ConstantVelocity2D(StateSpaceModel):
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
-
-    @cached_property
-    def _transition_t(self) -> np.ndarray:
-        return _read_only(self.transition_matrix()).T
+        return _read_only(transition).T
 
     @cached_property
     def process_var(self) -> np.ndarray:
@@ -165,7 +161,7 @@ class ConstantVelocity2D(StateSpaceModel):
     def meas_var(self) -> np.ndarray:
         return _read_only(np.array([self.r_meas, self.r_meas]))
 
-    def f(self, x, u=None):
+    def f(self, x):
         # Near the largest double, p + v dt can overflow. The inf (or NaN) it
         # leaves is rejected by the filter step's finite guard, which raises
         # in place of the warning.
@@ -188,8 +184,8 @@ def _check_state(model, x) -> np.ndarray:
     return x
 
 
-def propagate(model, x, noise, u=None) -> np.ndarray:
-    """Apply the motion model: f(x, u) + noise.
+def propagate(model, x, noise) -> np.ndarray:
+    """Apply the motion model: f(x) + noise.
 
     The noise vector is an explicit argument so callers control whether it
     comes from a stream or from a fixture; zero noise gives the
@@ -202,7 +198,7 @@ def propagate(model, x, noise, u=None) -> np.ndarray:
         noise = noise[np.newaxis]
     if noise.shape != x.shape:
         raise DimensionMismatch(f"noise shape {noise.shape} does not match state shape {x.shape}")
-    return model.f(x, u) + noise
+    return model.f(x) + noise
 
 
 def predict_measurement(model, x) -> np.ndarray:

@@ -47,11 +47,7 @@ class Scenario:
                 f"initial_truth has shape {self.initial_truth.shape}, model expects ({n},)"
             )
         check_arg("initial_truth", self.initial_truth)
-        sir.check_settings(self.n_particles, self.estimator)
-        if self.prior.dim != n:
-            raise DimensionMismatch(
-                f"prior has dimension {self.prior.dim}, model expects {n}"
-            )
+        sir.check_settings(self.model, self.prior, self.n_particles, self.estimator)
 
 
 @dataclass
@@ -87,29 +83,6 @@ class Trace:
     def stack(self, attr: str) -> np.ndarray:
         """Stack one vector-valued field over all records, shape (T, d)."""
         return np.stack([getattr(rec, attr) for rec in self.records])
-
-
-def simulate_truth(scenario: Scenario, rng: RngStream) -> np.ndarray:
-    """Roll the motion model forward from the initial truth, shape (T, n)."""
-    model = scenario.model
-    truth = np.empty((scenario.t_steps, model.state_dim))
-    truth[0] = scenario.initial_truth
-    for k in range(1, scenario.t_steps):
-        truth[k] = propagate(model, truth[k - 1], sample_process_noise(model, rng))
-    return truth
-
-
-def simulate_measurements(truth: np.ndarray, model, rng: RngStream) -> np.ndarray:
-    """Observe every truth state through h plus sensor noise, shape (T, o)."""
-    truth = np.asarray(truth, dtype=float)
-    if truth.ndim == 1:
-        truth = truth[:, np.newaxis]
-    if truth.shape[0] < 1:
-        raise ValueError("truth must be nonempty")
-    out = np.empty((truth.shape[0], model.obs_dim))
-    for k in range(truth.shape[0]):
-        out[k] = predict_measurement(model, truth[k]) + sample_measurement_noise(model, rng)
-    return out
 
 
 def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:

@@ -87,6 +87,12 @@ class TestConfigParsing:
             ({"seed": 2**64}, "seed"),
             ({"dump_particles": [-1]}, "dump_particles[0]"),
             ({"prior": {"mean": [0.0]}}, "prior.std"),
+            # integers beyond the float range
+            ({"T": 10**400}, "T"),
+            ({"N": 10**400}, "N"),
+            ({"model": {"q": 10**400, "r": 4.0}}, "model.q"),
+            ({"prior": {"mean": [10**400], "std": [2.0]}}, "prior.mean[0]"),
+            ({"threshold_fraction": 10**400}, "threshold_fraction"),
         ],
     )
     def test_field_path_in_error(self, mutation, path):
@@ -121,6 +127,10 @@ class TestConfigParsing:
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
+        with pytest.raises(ConfigError, match="bad.json"):
+            load_config(path)
+        # json refuses an integer literal longer than Python's 4300-digit limit
+        path.write_text('{"T": ' + "1" * 5000 + "}")
         with pytest.raises(ConfigError, match="bad.json"):
             load_config(path)
 
@@ -320,13 +330,47 @@ class TestGoldenCommand:
         path = tmp_path / "garbage.json"
         path.write_text("{{{")
         assert cli.main(["golden", str(path)]) == 2
+        path.write_text('{"r": ' + "1" * 5000 + "}")
+        assert cli.main(["golden", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tolerance", {"predicted": None}),
+            ("tolerance", {"weights": "tight"}),
+            pytest.param("tolerance", 10**400, id="tolerance-huge-int"),
+            ("r", None),
+            pytest.param("r", 10**400, id="r-huge-int"),
+            ("initial_particles", {"a": 1}),
+            ("initial_particles", [10**400, 0.0, 0.0, 0.0, 0.0]),
+            ("noises", {"a": 1}),
+            ("z", {"a": 1}),
+            ("expected_predicted", {"a": 1}),
+        ],
+    )
+    def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):
+        fixture = json.loads(cli._bundled_fixture("ch4_k1.json").read_text())
+        fixture[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(fixture))
+        assert cli.main(["golden", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_expected_length_mismatch_is_reported(self, tmp_path, capsys):
+        fixture = json.loads(cli._bundled_fixture("ch4_k1.json").read_text())
+        fixture["expected_predicted"] = [1.0, 2.0]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(fixture))
+        assert cli.main(["golden", str(path)]) == 1
+        assert "MISMATCH predicted: shape (5,) vs expected (2,)" in capsys.readouterr().out
 
 
-def _readme_block(heading: str) -> str:
-    """The first fenced code block under a README heading."""
+def _readme_block(heading: str, language: str = "json") -> str:
+    """The first fenced code block of a language under a README heading."""
     text = README.read_text()
     section = text[text.index(heading):]
-    return re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```" + language + r"\n(.*?)```", section, re.S).group(1)
 
 
 class TestReadmeExamples:
@@ -342,3 +386,8 @@ class TestReadmeExamples:
         path.write_text(_readme_block("### Golden fixture (JSON)"))
         assert cli.main(["golden", str(path)]) == 0
         assert "golden fixture ok" in capsys.readouterr().out
+
+    def test_library_block_runs(self, capsys):
+        exec(_readme_block("## Library", "python"), {})
+        estimate_line, step_line = capsys.readouterr().out.splitlines()
+        assert estimate_line.startswith("[") and step_line.startswith("[")

@@ -10,7 +10,6 @@ from smcfilter.core import (
     RngStream,
     check_arg,
     map_estimate,
-    monte_carlo_expectation,
     normalize_weights,
     normalized_log_weights,
     weighted_mean,
@@ -135,25 +134,24 @@ class TestEstimators:
 
 
 class TestMonteCarloExpectation:
+    """With equal weights, weighted_mean is the Monte Carlo estimate
+    (1/N) sum g(x_i) of E[g(X)] over samples x_i of X."""
+
+    @staticmethod
+    def expectation(g, samples):
+        return weighted_mean(ParticleSet.uniform([g(x) for x in samples]))[0]
+
     def test_identity_mean_near_zero(self):
-        rng = RngStream(2024)
-        samples = rng.standard_normal(1000)
-        est = monte_carlo_expectation(lambda x: x[0], samples)
-        assert abs(est) <= 0.1
+        samples = RngStream(2024).standard_normal(1000)
+        assert abs(self.expectation(lambda x: x, samples)) <= 0.1
 
     def test_interval_indicator_near_68_percent(self):
-        rng = RngStream(2024)
-        samples = rng.standard_normal(1000)
-        est = monte_carlo_expectation(lambda x: 1.0 if -1.0 <= x[0] <= 1.0 else 0.0, samples)
+        samples = RngStream(2024).standard_normal(1000)
+        est = self.expectation(lambda x: 1.0 if -1.0 <= x <= 1.0 else 0.0, samples)
         assert est == pytest.approx(0.68, abs=0.04)
 
     def test_constant_function(self):
-        est = monte_carlo_expectation(lambda x: 7.25, np.zeros((13, 2)))
-        assert est == 7.25
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo_expectation(lambda x: 0.0, [])
+        assert self.expectation(lambda x: 7.25, np.zeros((13, 2))) == pytest.approx(7.25)
 
 
 class TestRngStream:

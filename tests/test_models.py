@@ -23,12 +23,12 @@ CV = ConstantVelocity2D(dt=1.0, q_pos=0.2, q_vel=0.05, r_meas=2.0)
 
 class TestConstruction:
     def test_rw1d_dims(self):
-        assert (RW.state_dim, RW.control_dim, RW.obs_dim) == (1, 0, 1)
+        assert (RW.state_dim, RW.obs_dim) == (1, 1)
         np.testing.assert_array_equal(RW.process_var, [1.0])
         np.testing.assert_array_equal(RW.meas_var, [4.0])
 
     def test_cv2d_dims(self):
-        assert (CV.state_dim, CV.control_dim, CV.obs_dim) == (4, 0, 2)
+        assert (CV.state_dim, CV.obs_dim) == (4, 2)
         np.testing.assert_array_equal(CV.process_var, [0.2, 0.2, 0.05, 0.05])
         np.testing.assert_array_equal(CV.meas_var, [2.0, 2.0])
 

@@ -5,26 +5,7 @@ from smcfilter.core import ArgumentError, RngStream
 from smcfilter.filter import GaussianPrior
 from smcfilter.models import ConstantVelocity2D, DimensionMismatch, RandomWalk1D
 from smcfilter.resampling import ResamplePolicy
-from smcfilter.sim import (
-    Scenario,
-    rmse,
-    run_scenario,
-    simulate_measurements,
-    simulate_truth,
-)
-
-
-class QueueRng:
-    """Feeds predetermined standard-normal draws for hand-traced simulations."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def standard_normal(self, shape=None):
-        if shape is None:
-            return self.values.pop(0)
-        taken = [self.values.pop(0) for _ in range(int(np.prod(shape)))]
-        return np.array(taken).reshape(shape)
+from smcfilter.sim import Scenario, rmse, run_scenario
 
 
 def rw_scenario(q=1.0, r=4.0, t=15, n=200, threshold=0.5, scheme="systematic",
@@ -51,10 +32,11 @@ def cv_scenario(t=30, n=500):
 
 
 class TestSimulateTruth:
+    """The truth run_scenario rolls forward from the initial state."""
+
     def test_zero_process_noise_is_constant(self):
-        scenario = rw_scenario(q=0.0, t=10)
-        truth = simulate_truth(scenario, RngStream(1))
-        np.testing.assert_array_equal(truth, np.zeros((10, 1)))
+        trace = run_scenario(rw_scenario(q=0.0, t=10), seed=1)
+        np.testing.assert_array_equal(trace.stack("truth"), np.zeros((10, 1)))
 
     def test_cv2d_noise_free_kinematics(self):
         scenario = Scenario(
@@ -64,32 +46,37 @@ class TestSimulateTruth:
             initial_truth=[0.0, 0.0, 1.0, 0.5],
             n_particles=10,
         )
-        truth = simulate_truth(scenario, RngStream(1))
+        truth = run_scenario(scenario, seed=1).stack("truth")
         for k in range(6):
             np.testing.assert_allclose(truth[k, :2], [k, 0.5 * k], atol=1e-12)
 
-    def test_injected_walk(self):
-        scenario = rw_scenario(q=1.0, t=3)
-        truth = simulate_truth(scenario, QueueRng([1.2, 0.4]))
-        np.testing.assert_allclose(truth[:, 0], [0.0, 1.2, 1.6], atol=1e-12)
+    @pytest.mark.parametrize("seed, n_particles", [(3, 1), (11, 7)])
+    def test_truth_draw_follows_prior_draws(self, seed, n_particles):
+        # rw1d has one state component: the prior takes the first N normals,
+        # the step-1 truth noise the next one
+        q, initial = 2.5, 0.75
+        scenario = rw_scenario(q=q, t=2, n=n_particles, initial=initial)
+        d = RngStream(seed).standard_normal(n_particles + 2)
+        truth = run_scenario(scenario, seed=seed).records[1].truth
+        assert truth[0] == initial + np.sqrt(q) * d[n_particles]
 
 
 class TestSimulateMeasurements:
+    """The sensor readings run_scenario takes of the truth."""
+
     def test_vanishing_noise_returns_projection(self):
-        model = RandomWalk1D(q=1.0, r=1e-30)
-        truth = np.array([[0.5], [1.5], [-0.25]])
-        z = simulate_measurements(truth, model, RngStream(8))
-        np.testing.assert_allclose(z, truth, atol=1e-12)
+        trace = run_scenario(rw_scenario(r=1e-30, t=5), seed=8)
+        np.testing.assert_allclose(
+            trace.stack("measurement")[1:], trace.stack("truth")[1:], atol=1e-12
+        )
 
-    def test_injected_sensor_noise(self):
-        # r = 4 scales draws by 2, so draws [1.0, -0.5] give noises [2.0, -1.0]
-        model = RandomWalk1D(q=1.0, r=4.0)
-        z = simulate_measurements(np.array([[1.2], [1.6]]), model, QueueRng([1.0, -0.5]))
-        np.testing.assert_allclose(z[:, 0], [3.2, 0.6], atol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_measurements(np.zeros((0, 1)), RandomWalk1D(), RngStream(1))
+    @pytest.mark.parametrize("seed, n_particles", [(3, 1), (11, 7)])
+    def test_sensor_draw_follows_truth_draw(self, seed, n_particles):
+        # after the N prior normals and the truth noise comes the sensor noise
+        r = 4.5
+        d = RngStream(seed).standard_normal(n_particles + 2)
+        step = run_scenario(rw_scenario(r=r, t=2, n=n_particles), seed=seed).records[1]
+        assert step.measurement[0] == step.truth[0] + np.sqrt(r) * d[n_particles + 1]
 
 
 class TestRunScenario:
