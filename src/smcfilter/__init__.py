@@ -19,7 +19,7 @@ from .resampling import (
     should_resample,
     systematic_resample,
 )
-from .sim import Scenario, StepRecord, Trace, rmse, run_scenario
+from .sim import Scenario, Trace, rmse, run_scenario
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "RngStream",
     "Scenario",
     "StepOutcome",
-    "StepRecord",
     "Trace",
     "effective_sample_size",
     "map_estimate",

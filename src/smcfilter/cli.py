@@ -91,10 +91,11 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _float_list(value, path: str, length: int) -> list:
+def _float_list(value, path: str, length: int | None = None) -> list:
+    """value as a list of numbers, of ``length`` numbers unless that is None."""
     if not isinstance(value, list):
-        _fail(path, f"must be a list of {length} numbers, got {value!r}")
-    if len(value) != length:
+        _fail(path, f"must be a list of numbers, got {value!r}")
+    if length is not None and len(value) != length:
         _fail(path, f"must have length {length}, got {len(value)}")
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
@@ -187,13 +188,12 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _write_csv(path, columns, rows) -> None:
-    """Write the header and then each row, a list of strings, as one line."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(row))
+def _write_csv(path, columns, row_format, rows) -> None:
+    """Write the header and then each row, a sequence of values, formatted
+    with ``row_format``; the lines are streamed, not collected first."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row_format % tuple(row) for row in rows)
 
 
 def write_trace_csv(path, trace: Trace, model) -> None:
@@ -205,27 +205,25 @@ def write_trace_csv(path, trace: Trace, model) -> None:
         + [f"est_{c}" for c in model.state_labels]
         + ["ess", "resampled", "degenerate"]
     )
-
-    def rows():
-        for rec in trace.records:
-            row = [str(rec.k)]
-            row += [_fmt(v) for v in rec.truth]
-            row += [_fmt(v) for v in rec.measurement]
-            row += [_fmt(v) for v in rec.estimate]
-            row += [_fmt(rec.ess), "1" if rec.resampled else "0", "1" if rec.degenerate else "0"]
-            yield row
-
-    _write_csv(path, columns, rows())
+    table = np.column_stack((
+        np.arange(len(trace)), trace.truth, trace.measurement, trace.estimate,
+        trace.ess, trace.resampled, trace.degenerate,
+    ))
+    row_format = "%d," + ",".join(["%.9g"] * (len(columns) - 3)) + ",%d,%d\n"
+    _write_csv(path, columns, row_format, table.tolist())
 
 
 def write_particles_csv(path, trace: Trace, model) -> None:
+    columns = ["k", "i", "weight"] + list(model.state_labels)
+
     def rows():
         for k in sorted(trace.snapshots):
             particles, weights = trace.snapshots[k]
-            for i in range(particles.shape[0]):
-                yield [str(k), str(i), _fmt(weights[i])] + [_fmt(v) for v in particles[i]]
+            n = len(weights)
+            yield from np.column_stack((np.full(n, k), np.arange(n), weights, particles)).tolist()
 
-    _write_csv(path, ["k", "i", "weight"] + list(model.state_labels), rows())
+    row_format = "%d,%d," + ",".join(["%.9g"] * (len(columns) - 2)) + "\n"
+    _write_csv(path, columns, row_format, rows())
 
 
 def _resolve_seed(cli_seed, cfg_seed) -> tuple[int, str]:
@@ -244,20 +242,16 @@ def _resolve_seed(cli_seed, cfg_seed) -> tuple[int, str]:
 
 
 def _run_summary(trace: Trace, model) -> str:
-    final = trace.records[-1].estimate
-    resamples = sum(1 for rec in trace.records if rec.resampled)
-    if len(trace.records) > 1:
-        truth_obs = np.stack([model.h(rec.truth) for rec in trace.records[1:]])
-        est_obs = np.stack([model.h(rec.estimate) for rec in trace.records[1:]])
-        meas = trace.stack("measurement")[1:]
-        rmse_truth = rmse(est_obs, truth_obs)
-        rmse_meas = rmse(meas, truth_obs)
+    if len(trace) > 1:
+        truth_obs = model.h(trace.truth[1:])
+        rmse_truth = rmse(model.h(trace.estimate[1:]), truth_obs)
+        rmse_meas = rmse(trace.measurement[1:], truth_obs)
     else:
         rmse_truth = rmse_meas = float("nan")
-    est_txt = "[" + ", ".join(_fmt(v) for v in final) + "]"
+    est_txt = "[" + ", ".join(_fmt(v) for v in trace.estimate[-1]) + "]"
     return (
         f"final_estimate={est_txt} rmse_vs_truth={_fmt(rmse_truth)} "
-        f"rmse_vs_measurements={_fmt(rmse_meas)} resamples={resamples}"
+        f"rmse_vs_measurements={_fmt(rmse_meas)} resamples={int(trace.resampled.sum())}"
     )
 
 
@@ -314,7 +308,8 @@ def _load_fixture(path_arg: str) -> dict:
 
 def _tolerances(tol) -> tuple[float, float]:
     if isinstance(tol, (int, float)) and not isinstance(tol, bool):
-        return float(tol), float(tol)
+        tol = _number(tol, "tolerance")
+        return tol, tol
     if isinstance(tol, dict) and set(tol) <= {"predicted", "weights"}:
         return (_number(tol.get("predicted", 1e-9), "tolerance.predicted"),
                 _number(tol.get("weights", 1e-9), "tolerance.weights"))
@@ -325,17 +320,21 @@ def cmd_golden(fixture_arg: str) -> int:
     try:
         data = _load_fixture(fixture_arg)
         tol_predicted, tol_weights = _tolerances(data["tolerance"])
-        expected_predicted = np.asarray(data["expected_predicted"], dtype=float).ravel()
-        expected_weights = np.asarray(data["expected_weights"], dtype=float)
+        initial, noises, expected_predicted, expected_weights = (
+            np.array(_float_list(data[key], key))
+            for key in ("initial_particles", "noises", "expected_predicted", "expected_weights")
+        )
+        z = data["z"]
+        z = _float_list(z, "z") if isinstance(z, list) else _number(z, "z")
         # threshold 0 keeps the post-step set equal to the predicted/weighted one
         state = FilterState(
-            set=ParticleSet.uniform(data["initial_particles"]),
+            set=ParticleSet.uniform(initial),
             model=RandomWalk1D(q=1.0, r=_number(data.get("r", 4.0), "r")),
             policy=ResamplePolicy("systematic", 0.0),
             rng=RngStream(0),
         )
-        step_with_injected_noise(state, data["z"], data["noises"])
-    except (ValueError, TypeError, OverflowError) as exc:  # a malformed field fails to convert
+        step_with_injected_noise(state, z, noises)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,9 +30,9 @@ class ArgumentError(ValueError):
 
 
 def check_arg(name: str, value, low=None, high=None, strict=False, error=ArgumentError):
-    """Raise ``error`` for argument ``name`` unless every element of ``value``
-    is finite and lies in [low, high], with low itself excluded when
-    ``strict``; a bound of None is open."""
+    """``value`` as a float array. Raise ``error`` for argument ``name``
+    unless every element is finite and lies in [low, high], with low itself
+    excluded when ``strict``; a bound of None is open."""
     bound = None
     if high is not None:
         bound = f"must be in [{low:g}, {high:g}]"
@@ -52,6 +52,7 @@ def check_arg(name: str, value, low=None, high=None, strict=False, error=Argumen
         if arr.ndim == 0:
             raise error(name, f"{rule}, got {value}")
         raise error(name, f"{rule}, got {v}", i)
+    return arr
 
 
 class RngStream:
@@ -181,12 +182,15 @@ def normalized_log_weights(log_weights) -> np.ndarray:
     """Normalize in the log domain: lw - log(sum(exp(lw))), max-shifted.
 
     Keeps tiny weights at their true log values instead of flushing them
-    to zero through a linear round trip.
+    to zero through a linear round trip. The log-sum is subtracted from the
+    shifted values, (lw - m) - log(s), not as lw - (m + log(s)): for
+    |m| beyond ~1e16 the sum m + log(s) rounds to m and the result would
+    no longer be normalized (Blanchard, Higham & Higham 2021).
     """
     lw, m = _max_shift(log_weights)
     shifted = lw - m
-    np.exp(shifted, out=shifted)
-    return lw - (m + np.log(shifted.sum()))
+    shifted -= np.log(np.exp(shifted).sum())
+    return shifted
 
 
 def weighted_mean(particle_set: ParticleSet) -> np.ndarray:

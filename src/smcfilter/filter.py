@@ -49,14 +49,12 @@ class GaussianPrior:
     std: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        self.std = np.atleast_1d(np.asarray(self.std, dtype=float))
+        self.mean = np.atleast_1d(check_arg("mean", self.mean, error=InvalidPrior))
+        self.std = np.atleast_1d(check_arg("std", self.std, low=0.0, error=InvalidPrior))
         if self.mean.shape != self.std.shape:
             raise InvalidPrior(
                 "std", f"has shape {self.std.shape}, mean has shape {self.mean.shape}"
             )
-        check_arg("mean", self.mean, error=InvalidPrior)
-        check_arg("std", self.std, low=0.0, error=InvalidPrior)
 
     @property
     def dim(self) -> int:
@@ -133,7 +131,7 @@ def init(
     )
 
 
-def _advance(state: FilterState, z, predicted: np.ndarray, resample_u) -> StepOutcome:
+def _advance(state: FilterState, z, predicted: np.ndarray) -> StepOutcome:
     """Weight, resample and estimate from the propagated particles.
 
     ``z`` has passed check_measurement. Every other array here is built by
@@ -161,8 +159,7 @@ def _advance(state: FilterState, z, predicted: np.ndarray, resample_u) -> StepOu
     resampled = should_resample(state.policy, ess, n)
     if resampled:
         if state.policy.scheme == "systematic":
-            offset = state.rng.uniform() if resample_u is None else float(resample_u)
-            indices = systematic_resample(weights, offset)
+            indices = systematic_resample(weights, state.rng.uniform())
         else:
             indices = multinomial_resample(weights, state.rng)
         predicted = predicted.take(indices, axis=0)
@@ -198,16 +195,15 @@ def step(state: FilterState, z) -> StepOutcome:
     noises = state.rng.standard_normal((pset.n_particles, pset.dim))
     noises *= model.process_std
     predicted = propagate(model, pset.particles, noises)
-    return _advance(state, z, predicted, resample_u=None)
+    return _advance(state, z, predicted)
 
 
-def step_with_injected_noise(state: FilterState, z, noises, resample_u=None) -> StepOutcome:
+def step_with_injected_noise(state: FilterState, z, noises) -> StepOutcome:
     """Like step, but with caller-supplied process noises (one per particle).
 
     Test seam for replaying worked numerical fixtures: bypasses the
-    RngStream for the prediction draws, and for the systematic offset when
-    ``resample_u`` is given. Multinomial selection draws, and a systematic
-    offset when ``resample_u`` is None, still come from the stream.
+    RngStream for the prediction draws only. The resample draws, if
+    resampling fires, still come from the stream.
     """
     model = state.model
     z = check_measurement(model, z)
@@ -223,4 +219,4 @@ def step_with_injected_noise(state: FilterState, z, noises, resample_u=None) -> 
     # propagate. The inf it leaves is rejected by _advance's finite guard.
     with np.errstate(over="ignore"):
         predicted = propagate(model, state.set.particles, noises)
-    return _advance(state, z, predicted, resample_u)
+    return _advance(state, z, predicted)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RngStream, check_arg
+from .core import check_arg
 
 
 class DimensionMismatch(ValueError):
@@ -257,12 +257,3 @@ def log_likelihood(model, z, x):
     ll *= -0.5
     return float(ll) if ll.ndim == 0 else ll
 
-
-def sample_process_noise(model, rng: RngStream) -> np.ndarray:
-    """Draw one process-noise vector, sqrt(Q_j) * standard normal per component."""
-    return model.process_std * rng.standard_normal(model.state_dim)
-
-
-def sample_measurement_noise(model, rng: RngStream) -> np.ndarray:
-    """Draw one measurement-noise vector, sqrt(R_j) * standard normal per component."""
-    return model.meas_std * rng.standard_normal(model.obs_dim)

@@ -1,9 +1,10 @@
 """Ground-truth generation, scenario execution, and accuracy metrics.
 
 A scenario bundles a model, a horizon, a prior, and the filter settings.
-Running one produces a trace of per-step records suitable for CSV dumping
-and plotting. One RngStream drives everything in a run; the draw order is
-fixed (see run_scenario) so a seed pins the entire experiment.
+Running one produces a trace that holds the run as columns, one row per
+step, for CSV dumping and plotting. One RngStream drives everything in a
+run; the draw order is fixed (see run_scenario) so a seed pins the entire
+experiment.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ import numpy as np
 from . import filter as sir
 from .core import RngStream, check_arg, weighted_mean
 from .filter import FilterState, GaussianPrior
-from .models import (
-    DimensionMismatch,
-    predict_measurement,
-    propagate,
-    sample_measurement_noise,
-    sample_process_noise,
-)
+from .models import DimensionMismatch, predict_measurement, propagate
 from .resampling import ResamplePolicy, effective_sample_size
 
 
@@ -40,49 +35,47 @@ class Scenario:
 
     def __post_init__(self):
         check_arg("t_steps", self.t_steps, low=1)
-        self.initial_truth = np.atleast_1d(np.asarray(self.initial_truth, dtype=float))
+        self.initial_truth = np.atleast_1d(check_arg("initial_truth", self.initial_truth))
         n = self.model.state_dim
         if self.initial_truth.shape != (n,):
             raise DimensionMismatch(
                 f"initial_truth has shape {self.initial_truth.shape}, model expects ({n},)"
             )
-        check_arg("initial_truth", self.initial_truth)
         sir.check_settings(self.model, self.prior, self.n_particles, self.estimator)
 
 
 @dataclass
-class StepRecord:
-    """One trace row. The measurement is NaN at k=0 (no update happens there)."""
-
-    k: int
-    truth: np.ndarray
-    measurement: np.ndarray
-    estimate: np.ndarray
-    ess: float
-    resampled: bool
-    degenerate: bool
-
-
-@dataclass
 class Trace:
-    """Ordered step records plus the end-of-run weight diagnostics.
+    """One run as columns, row k for step k = 0..T-1, plus the end-of-run
+    weight diagnostics.
 
+    ``truth`` (T, n), ``measurement`` (T, o) and ``estimate`` (T, n) hold the
+    vectors; ``ess``, ``resampled`` and ``degenerate`` (T,) the step's
+    diagnostics. Row 0 carries no measurement (NaN; the first update happens
+    at k=1), the prior's weighted mean as estimate and its ESS.
     ``final_ess`` is the effective sample size of the weights as the filter
     holds them after the last step (post-resampling, if the last step
     fired). ``snapshots`` maps step index to the (particles, weights) the
     filter held after completing that step.
     """
 
-    records: list[StepRecord]
+    truth: np.ndarray
+    measurement: np.ndarray
+    estimate: np.ndarray
+    ess: np.ndarray
+    resampled: np.ndarray
+    degenerate: np.ndarray
     final_ess: float
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ess)
 
     def stack(self, attr: str) -> np.ndarray:
-        """Stack one vector-valued field over all records, shape (T, d)."""
-        return np.stack([getattr(rec, attr) for rec in self.records])
+        """The column named ``attr``, the same array as the attribute. Only
+        the benchmark harness reads columns through this name; the next
+        benchmark change retires it together with cli.build_scenario."""
+        return getattr(self, attr)
 
 
 def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
@@ -95,6 +88,7 @@ def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
     its estimate is the prior's weighted mean.
     """
     model = scenario.model
+    n, t_steps = model.state_dim, scenario.t_steps
     rng = RngStream(seed)
     dump_steps = set(int(k) for k in dump_steps)
 
@@ -107,45 +101,43 @@ def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
         estimator=scenario.estimator,
     )
 
-    truth = scenario.initial_truth.copy()
-    records = [
-        StepRecord(
-            k=0,
-            truth=truth.copy(),
-            measurement=np.full(model.obs_dim, np.nan),
-            estimate=weighted_mean(state.set),
-            ess=effective_sample_size(state.set.weights),
-            resampled=False,
-            degenerate=False,
-        )
-    ]
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if 0 in dump_steps:
-        snapshots[0] = _snapshot(state)
-
-    for k in range(1, scenario.t_steps):
-        truth = propagate(model, truth, sample_process_noise(model, rng))
-        z = predict_measurement(model, truth) + sample_measurement_noise(model, rng)
-        outcome = sir.step(state, z)
-        records.append(
-            StepRecord(
-                k=k,
-                truth=truth.copy(),
-                measurement=z,
-                estimate=outcome.estimate,
-                ess=outcome.ess,
-                resampled=outcome.resampled,
-                degenerate=outcome.degenerate,
-            )
-        )
-        if k in dump_steps:
-            snapshots[k] = _snapshot(state)
-
-    return Trace(
-        records=records,
-        final_ess=effective_sample_size(state.set.weights),
-        snapshots=snapshots,
+    trace = Trace(
+        truth=np.empty((t_steps, n)),
+        measurement=np.empty((t_steps, model.obs_dim)),
+        estimate=np.empty((t_steps, n)),
+        ess=np.empty(t_steps),
+        resampled=np.zeros(t_steps, dtype=bool),
+        degenerate=np.zeros(t_steps, dtype=bool),
+        final_ess=float("nan"),
     )
+    truth = scenario.initial_truth
+    trace.truth[0] = truth
+    trace.measurement[0] = np.nan
+    trace.estimate[0] = weighted_mean(state.set)
+    trace.ess[0] = effective_sample_size(state.set.weights)
+    if 0 in dump_steps:
+        trace.snapshots[0] = _snapshot(state)
+
+    # One draw call per step: the truth's n normals, then the sensor's o, as
+    # two consecutive draws would give them, each scaled by its std.
+    scale = np.concatenate((model.process_std, model.meas_std))
+    for k in range(1, t_steps):
+        noise = rng.standard_normal(scale.size)
+        noise *= scale
+        truth = propagate(model, truth, noise[:n])
+        z = predict_measurement(model, truth) + noise[n:]
+        outcome = sir.step(state, z)
+        trace.truth[k] = truth
+        trace.measurement[k] = z
+        trace.estimate[k] = outcome.estimate
+        trace.ess[k] = outcome.ess
+        trace.resampled[k] = outcome.resampled
+        trace.degenerate[k] = outcome.degenerate
+        if k in dump_steps:
+            trace.snapshots[k] = _snapshot(state)
+
+    trace.final_ess = effective_sample_size(state.set.weights)
+    return trace
 
 
 def _snapshot(state: FilterState) -> tuple[np.ndarray, np.ndarray]:

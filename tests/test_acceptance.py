@@ -149,9 +149,9 @@ def test_criterion_7_filter_beats_sensor_1d():
     wins = 0
     for seed in range(100):
         trace = run_scenario(rw_scenario(r=4.0, threshold=0.5), seed)
-        truth = trace.stack("truth")[1:]
-        estimate = trace.stack("estimate")[1:]
-        measurement = trace.stack("measurement")[1:]
+        truth = trace.truth[1:]
+        estimate = trace.estimate[1:]
+        measurement = trace.measurement[1:]
         if rmse(estimate, truth) < rmse(measurement, truth):
             wins += 1
     elapsed = time.perf_counter() - start
@@ -173,9 +173,9 @@ def test_criterion_8_filter_beats_sensor_2d():
             policy=ResamplePolicy("systematic", 0.5),
         )
         trace = run_scenario(scenario, seed)
-        truth_pos = trace.stack("truth")[1:, :2]
-        estimate_pos = trace.stack("estimate")[1:, :2]
-        measurement = trace.stack("measurement")[1:]
+        truth_pos = trace.truth[1:, :2]
+        estimate_pos = trace.estimate[1:, :2]
+        measurement = trace.measurement[1:]
         if rmse(estimate_pos, truth_pos) < rmse(measurement, truth_pos):
             wins += 1
     elapsed = time.perf_counter() - start

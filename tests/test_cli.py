@@ -346,6 +346,11 @@ class TestGoldenCommand:
             ("noises", {"a": 1}),
             ("z", {"a": 1}),
             ("expected_predicted", {"a": 1}),
+            ("expected_weights", [None, None, None, None, None]),
+            ("expected_predicted", [-1.2, -0.2, "2.0", 2.3, 3.5]),
+            ("initial_particles", [[-1.5], [0.2], [1.0], [2.5], [3.0]]),
+            ("noises", [0.3, -0.4, True, -0.2, 0.5]),
+            ("z", [None]),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):
@@ -355,7 +360,8 @@ class TestGoldenCommand:
         path.write_text(json.dumps(fixture))
         assert cli.main(["golden", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # one line, naming the field
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
 
     def test_expected_length_mismatch_is_reported(self, tmp_path, capsys):
         fixture = json.loads(cli._bundled_fixture("ch4_k1.json").read_text())

@@ -85,6 +85,13 @@ class TestNormalizeWeights:
         assert np.isfinite(out[1])
         assert out[1] == pytest.approx(-800.0, abs=1e-9)
 
+    @pytest.mark.parametrize("shift", [-1e20, 1e20, -1e300])
+    def test_log_domain_survives_a_huge_shift(self, shift):
+        # m + log(s) rounds to m for |m| beyond ~1e16; the result must not
+        # lose the log(s) term
+        out = normalized_log_weights(np.array([shift, shift]))
+        np.testing.assert_array_equal(out, [-np.log(2.0), -np.log(2.0)])
+
 
 class TestEstimators:
     def test_weighted_mean_uniform(self):

@@ -18,7 +18,7 @@ from smcfilter.models import (
     NonFiniteMeasurement,
     RandomWalk1D,
 )
-from smcfilter.resampling import ResamplePolicy, effective_sample_size
+from smcfilter.resampling import ResamplePolicy, effective_sample_size, systematic_resample
 
 RW = RandomWalk1D(q=1.0, r=4.0)
 
@@ -76,6 +76,8 @@ class TestInit:
             ([0.0], [np.inf], "std", 0),
             ([0.0, 0.0], [1.0, -np.inf], "std", 1),
             ([0.0, 0.0], [np.nan, 1.0], "std", 0),
+            ([10**400], [1.0], "mean", None),
+            ([0.0, 0.0], [1.0, -10**400], "std", None),
         ],
     )
     def test_non_finite_prior_rejected(self, mean, std, name, index):
@@ -157,20 +159,22 @@ class TestStep:
         np.testing.assert_allclose(state.set.weights, 0.01, atol=1e-6)
 
     def test_resample_resets_weights_and_keeps_existing_values(self):
-        state = make_state(GOLDEN_K1["initial"], threshold=1.0)
-        outcome = step_with_injected_noise(
-            state, GOLDEN_K1["z"], GOLDEN_K1["noises"], resample_u=0.25
-        )
+        state = make_state(GOLDEN_K1["initial"], threshold=1.0, seed=4)
+        weighed = make_state(GOLDEN_K1["initial"], threshold=0.0)
+        step_with_injected_noise(weighed, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+        outcome = step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
         assert outcome.resampled is True
         np.testing.assert_allclose(state.set.weights, 0.2, atol=1e-12)
+        # the injected noise draws nothing: the offset is the stream's first uniform
+        indices = systematic_resample(weighed.set.weights, RngStream(4).uniform())
+        assert np.array_equal(state.set.particles, weighed.set.particles[indices])
         for value in state.set.particles[:, 0]:
             assert value in GOLDEN_K1["predicted"]
 
     def test_estimate_computed_after_resampling(self):
         state = make_state(GOLDEN_K1["initial"], threshold=1.0)
-        outcome = step_with_injected_noise(
-            state, GOLDEN_K1["z"], GOLDEN_K1["noises"], resample_u=0.25
-        )
+        outcome = step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+        assert outcome.resampled is True
         assert outcome.estimate[0] == pytest.approx(state.set.particles[:, 0].mean())
 
     def test_map_estimator(self):
@@ -276,15 +280,29 @@ class TestStep:
 
     def test_injected_noise_bit_identical_across_runs(self):
         def run():
-            state = make_state(GOLDEN_K1["initial"], threshold=1.0)
-            step_with_injected_noise(
-                state, GOLDEN_K1["z"], GOLDEN_K1["noises"], resample_u=0.3
-            )
+            state = make_state(GOLDEN_K1["initial"], threshold=1.0, seed=9)
+            step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+            # the stream gave exactly one uniform, the systematic offset
+            replay = RngStream(9)
+            replay.uniform()
+            assert state.rng.uniform() == replay.uniform()
             return state.set.particles.copy(), state.set.log_weights.copy()
 
         pa, wa = run()
         pb, wb = run()
         assert np.array_equal(pa, pb) and np.array_equal(wa, wb)
+
+    def test_huge_likelihood_shift_keeps_weights_normalized(self):
+        # Step 1 resamples to 25 copies of the particle nearest z. From then on
+        # every log-weight shares one shift of ~-1e140, which absorbed the
+        # log-sum: the kept weights summed to 25 and the estimate read 8.788.
+        model = RandomWalk1D(q=0.0, r=1.3e-143)
+        state = init(model, GaussianPrior([0.0], [1.0]), 25, RngStream(0))
+        for _ in range(4):
+            outcome = step(state, [0.3])
+            assert state.set.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert outcome.estimate[0] == pytest.approx(0.3515, abs=5e-5)
+        assert effective_sample_size(state.set.weights) == pytest.approx(25.0)
 
     def test_zero_noise_concentrates_weight_near_measurement(self):
         state = make_state(GOLDEN_K1["initial"])

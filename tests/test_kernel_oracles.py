@@ -1,7 +1,8 @@
 """The hot-path kernels against the formulas they replaced, bit for bit.
 
 Each oracle below keeps the arithmetic of the earlier implementation
-verbatim, minus its input checks. The kernels were rewritten for speed on the
+verbatim, minus its input checks; the log-domain normalizer's oracle follows
+its absorption fix, (lw - m) - log(s), which the kernel took since. The kernels were rewritten for speed on the
 condition that every seeded trace stays byte-identical, so the comparisons
 use ``np.array_equal``, not a tolerance.
 """
@@ -57,8 +58,10 @@ def oracle_normalize_weights(log_weights):
 
 
 def oracle_normalized_log_weights(log_weights):
+    # (lw - m) - log(s), not lw - (m + log(s)): the latter loses log(s) when
+    # |m| is beyond ~1e16 and leaves the weights unnormalized
     m = np.max(log_weights)
-    return log_weights - (m + np.log(np.sum(np.exp(log_weights - m))))
+    return (log_weights - m) - np.log(np.sum(np.exp(log_weights - m)))
 
 
 def oracle_step(state, z):

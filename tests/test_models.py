@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from smcfilter.core import ArgumentError, RngStream
+from smcfilter.core import ArgumentError
 from smcfilter.models import (
     ConstantVelocity2D,
     DimensionMismatch,
@@ -13,8 +13,6 @@ from smcfilter.models import (
     log_likelihood,
     predict_measurement,
     propagate,
-    sample_measurement_noise,
-    sample_process_noise,
 )
 
 RW = RandomWalk1D(q=1.0, r=4.0)
@@ -236,25 +234,3 @@ class TestLogLikelihood:
         assert ll[0] == -np.inf
         assert ll[1] == pytest.approx(-0.5 * math.log(2 * math.pi * 4.0), abs=1e-12)
 
-
-class TestNoiseSampling:
-    def test_zero_variance_gives_zero_vector(self):
-        model = RandomWalk1D(q=0.0, r=1.0)
-        rng = RngStream(1)
-        for _ in range(10):
-            assert sample_process_noise(model, rng)[0] == 0.0
-
-    def test_rw1d_empirical_variance(self):
-        rng = RngStream(314)
-        draws = np.array([sample_process_noise(RW, rng)[0] for _ in range(10**5)])
-        assert draws.var() == pytest.approx(1.0, abs=0.02)
-
-    def test_cv2d_empirical_variances(self):
-        rng = RngStream(2718)
-        draws = np.stack([sample_process_noise(CV, rng) for _ in range(10**5)])
-        np.testing.assert_allclose(draws.var(axis=0), [0.2, 0.2, 0.05, 0.05], rtol=0.05)
-
-    def test_measurement_noise_variance(self):
-        rng = RngStream(99)
-        draws = np.stack([sample_measurement_noise(CV, rng) for _ in range(10**5)])
-        np.testing.assert_allclose(draws.var(axis=0), [2.0, 2.0], rtol=0.05)

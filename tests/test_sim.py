@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smcfilter.core import ArgumentError, RngStream
 from smcfilter.filter import GaussianPrior
@@ -31,12 +33,23 @@ def cv_scenario(t=30, n=500):
     )
 
 
+def assert_same_run(a, b):
+    """Two traces hold equal columns, bit for bit, and equal end diagnostics."""
+    for column in ("truth", "measurement", "estimate", "ess", "resampled", "degenerate"):
+        assert np.array_equal(getattr(a, column), getattr(b, column), equal_nan=True), column
+    assert a.final_ess == b.final_ess
+    assert sorted(a.snapshots) == sorted(b.snapshots)
+    for k, (particles, weights) in a.snapshots.items():
+        assert np.array_equal(particles, b.snapshots[k][0])
+        assert np.array_equal(weights, b.snapshots[k][1])
+
+
 class TestSimulateTruth:
     """The truth run_scenario rolls forward from the initial state."""
 
     def test_zero_process_noise_is_constant(self):
         trace = run_scenario(rw_scenario(q=0.0, t=10), seed=1)
-        np.testing.assert_array_equal(trace.stack("truth"), np.zeros((10, 1)))
+        np.testing.assert_array_equal(trace.truth, np.zeros((10, 1)))
 
     def test_cv2d_noise_free_kinematics(self):
         scenario = Scenario(
@@ -46,7 +59,7 @@ class TestSimulateTruth:
             initial_truth=[0.0, 0.0, 1.0, 0.5],
             n_particles=10,
         )
-        truth = run_scenario(scenario, seed=1).stack("truth")
+        truth = run_scenario(scenario, seed=1).truth
         for k in range(6):
             np.testing.assert_allclose(truth[k, :2], [k, 0.5 * k], atol=1e-12)
 
@@ -57,7 +70,7 @@ class TestSimulateTruth:
         q, initial = 2.5, 0.75
         scenario = rw_scenario(q=q, t=2, n=n_particles, initial=initial)
         d = RngStream(seed).standard_normal(n_particles + 2)
-        truth = run_scenario(scenario, seed=seed).records[1].truth
+        truth = run_scenario(scenario, seed=seed).truth[1]
         assert truth[0] == initial + np.sqrt(q) * d[n_particles]
 
 
@@ -67,7 +80,7 @@ class TestSimulateMeasurements:
     def test_vanishing_noise_returns_projection(self):
         trace = run_scenario(rw_scenario(r=1e-30, t=5), seed=8)
         np.testing.assert_allclose(
-            trace.stack("measurement")[1:], trace.stack("truth")[1:], atol=1e-12
+            trace.measurement[1:], trace.truth[1:], atol=1e-12
         )
 
     @pytest.mark.parametrize("seed, n_particles", [(3, 1), (11, 7)])
@@ -75,43 +88,50 @@ class TestSimulateMeasurements:
         # after the N prior normals and the truth noise comes the sensor noise
         r = 4.5
         d = RngStream(seed).standard_normal(n_particles + 2)
-        step = run_scenario(rw_scenario(r=r, t=2, n=n_particles), seed=seed).records[1]
-        assert step.measurement[0] == step.truth[0] + np.sqrt(r) * d[n_particles + 1]
+        trace = run_scenario(rw_scenario(r=r, t=2, n=n_particles), seed=seed)
+        assert trace.measurement[1, 0] == trace.truth[1, 0] + np.sqrt(r) * d[n_particles + 1]
+
+    @pytest.mark.parametrize("seed, n_particles", [(3, 1), (11, 7)])
+    def test_cv2d_draws_scale_by_each_components_std(self, seed, n_particles):
+        # after the N*4 prior normals come the 4 truth and then the 2 sensor
+        # normals of step 1, each scaled by its own component's std
+        scenario = cv_scenario(t=2, n=n_particles)
+        model = scenario.model
+        d = RngStream(seed).standard_normal(4 * n_particles + 6)[4 * n_particles:]
+        trace = run_scenario(scenario, seed=seed)
+        truth = model.f(scenario.initial_truth) + np.sqrt(model.process_var) * d[:4]
+        assert np.array_equal(trace.truth[1], truth)
+        assert np.array_equal(trace.measurement[1], truth[:2] + np.sqrt(model.meas_var) * d[4:])
 
 
 class TestRunScenario:
     def test_trace_shape_and_indexing(self):
         trace = run_scenario(rw_scenario(t=12), seed=5)
         assert len(trace) == 12
-        assert [rec.k for rec in trace.records] == list(range(12))
+        assert trace.truth.shape == trace.measurement.shape == trace.estimate.shape == (12, 1)
+        assert trace.ess.shape == trace.resampled.shape == trace.degenerate.shape == (12,)
 
     def test_first_record_has_no_measurement(self):
         trace = run_scenario(rw_scenario(), seed=5)
-        assert np.isnan(trace.records[0].measurement).all()
-        assert not any(np.isnan(rec.measurement).any() for rec in trace.records[1:])
-        assert trace.records[0].ess == pytest.approx(200.0, abs=1e-9)
-        assert trace.records[0].resampled is False
+        assert np.isnan(trace.measurement[0]).all()
+        assert not np.isnan(trace.measurement[1:]).any()
+        assert trace.ess[0] == pytest.approx(200.0, abs=1e-9)
+        assert not trace.resampled[0] and not trace.degenerate[0]
 
     def test_same_seed_identical_traces(self):
         a = run_scenario(rw_scenario(), seed=99)
         b = run_scenario(rw_scenario(), seed=99)
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.truth, rb.truth)
-            assert np.array_equal(ra.measurement, rb.measurement, equal_nan=True)
-            assert np.array_equal(ra.estimate, rb.estimate)
-            assert ra.ess == rb.ess and ra.resampled == rb.resampled
-        assert a.final_ess == b.final_ess
+        assert_same_run(a, b)
 
     def test_different_seeds_differ(self):
         a = run_scenario(rw_scenario(), seed=1)
         b = run_scenario(rw_scenario(), seed=2)
-        assert not np.array_equal(a.records[1].truth, b.records[1].truth)
+        assert not np.array_equal(a.truth[1], b.truth[1])
 
     def test_noise_free_scenario_tracks_exactly(self):
         scenario = rw_scenario(q=0.0, r=1e-30, t=8, n=20, prior_std=0.0, initial=0.0)
         trace = run_scenario(scenario, seed=7)
-        for rec in trace.records:
-            assert rec.estimate[0] == pytest.approx(rec.truth[0], abs=1e-9)
+        np.testing.assert_allclose(trace.estimate, trace.truth, rtol=0, atol=1e-9)
 
     def test_snapshots_captured_for_requested_steps(self):
         trace = run_scenario(rw_scenario(t=10, n=32), seed=3, dump_steps=[0, 4, 9])
@@ -124,16 +144,16 @@ class TestRunScenario:
     def test_cv2d_scenario_runs(self):
         trace = run_scenario(cv_scenario(t=10, n=100), seed=11)
         assert len(trace) == 10
-        assert trace.records[3].truth.shape == (4,)
-        assert trace.records[3].measurement.shape == (2,)
+        assert trace.truth.shape == trace.estimate.shape == (10, 4)
+        assert trace.measurement.shape == (10, 2)
 
     def test_filter_beats_sensor_sample(self):
         wins = 0
         for seed in range(10):
             trace = run_scenario(rw_scenario(q=1.0, r=4.0, t=50, n=500), seed=seed)
-            truth = trace.stack("truth")[1:]
-            est = trace.stack("estimate")[1:]
-            meas = trace.stack("measurement")[1:]
+            truth = trace.truth[1:]
+            est = trace.estimate[1:]
+            meas = trace.measurement[1:]
             if rmse(est, truth) < rmse(meas, truth):
                 wins += 1
         assert wins >= 8
@@ -141,8 +161,63 @@ class TestRunScenario:
     def test_degeneracy_scenario_with_threshold_disabled(self):
         scenario = rw_scenario(q=1.0, r=0.01, t=50, n=500, threshold=0.0)
         trace = run_scenario(scenario, seed=0)
-        assert not any(rec.resampled for rec in trace.records)
+        assert not trace.resampled.any()
         assert trace.final_ess < 0.1 * 500
+
+
+# variances log-uniform over the whole float range the models accept
+log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+class TestWholeRunProperties:
+    """Invariants of every seeded run, over the models' whole variance range."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["rw1d", "cv2d"]),
+        q=log_uniform,
+        r=log_uniform,
+        n=st.integers(1, 2000),
+        t=st.integers(1, 6),
+        threshold=st.sampled_from([0.0, 0.5, 1.0]),
+        scheme=st.sampled_from(["systematic", "multinomial"]),
+        estimator=st.sampled_from(["weighted_mean", "map"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a huge likelihood shift once absorbed the log-sum in the kept
+    # log-weights: after step 1 resampled to 25 equal particles, the later
+    # steps' weights summed to 25 and the estimate read 25 times the state
+    @example(name="rw1d", q=0.0, r=1.3e-143, n=25, t=5, threshold=0.5,
+             scheme="systematic", estimator="weighted_mean", seed=0)
+    def test_weights_ess_and_estimates_stay_in_bounds(
+        self, name, q, r, n, t, threshold, scheme, estimator, seed
+    ):
+        if name == "rw1d":
+            model = RandomWalk1D(q=q, r=r)
+        else:
+            model = ConstantVelocity2D(dt=1.0, q_pos=q, q_vel=q, r_meas=r)
+        dim = model.state_dim
+        scenario = Scenario(
+            model=model,
+            t_steps=t,
+            prior=GaussianPrior(np.zeros(dim), np.ones(dim)),
+            initial_truth=np.zeros(dim),
+            n_particles=n,
+            policy=ResamplePolicy(scheme, threshold),
+            estimator=estimator,
+        )
+        trace = run_scenario(scenario, seed, dump_steps=range(t))
+        assert sorted(trace.snapshots) == list(range(t))
+        for k, (particles, weights) in trace.snapshots.items():
+            assert np.isfinite(weights).all()
+            assert abs(weights.sum() - 1.0) <= 1e-9
+            assert 1.0 - 1e-9 <= trace.ess[k] <= n * (1.0 + 1e-9)
+            low, high = particles.min(axis=0), particles.max(axis=0)
+            slack = 1e-9 * np.maximum(np.abs(low), np.abs(high))
+            assert np.all(low - slack <= trace.estimate[k]), k
+            assert np.all(trace.estimate[k] <= high + slack), k
+        assert trace.final_ess <= n * (1.0 + 1e-9)
+        assert_same_run(trace, run_scenario(scenario, seed, dump_steps=range(t)))
 
 
 class TestRmse:
@@ -174,6 +249,7 @@ class TestScenarioValidation:
             ({"n": 0}, "n_particles"),
             ({"initial": float("nan")}, "initial_truth"),
             ({"initial": float("-inf")}, "initial_truth"),
+            ({"initial": 10**400}, "initial_truth"),
         ],
     )
     def test_construction_names_the_failed_argument(self, kwargs, name):

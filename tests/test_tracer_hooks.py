@@ -18,6 +18,14 @@ RETIRED = {
         "the step takes its ESS from resampling._ess, which skips the public "
         "sum check; its cost now shows in filter.step self time"
     ),
+    ("smcfilter.sim", "sample_process_noise"): (
+        "run_scenario draws a step's truth and sensor noise in one "
+        "standard_normal(n + o) call and scales it by process_std and meas_std"
+    ),
+    ("smcfilter.sim", "sample_measurement_noise"): (
+        "run_scenario draws a step's truth and sensor noise in one "
+        "standard_normal(n + o) call and scales it by process_std and meas_std"
+    ),
 }
 
 
