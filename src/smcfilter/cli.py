@@ -16,19 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ArgumentError, ParticleSet, RngStream
+from .core import ArgumentError, ParticleSet, RngStream, check_arg
 from .filter import FilterState, GaussianPrior, step_with_injected_noise
 from .models import ConstantVelocity2D, RandomWalk1D
 from .resampling import ResamplePolicy
-from .sim import Scenario, Trace, rmse, run_scenario
+from .sim import Scenario, Trace, check_dump_steps, rmse, run_scenario
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration; the message carries the field path."""
-
-
-class FixtureError(ValueError):
-    """Fixture file missing, unparseable, or schema-invalid."""
+    """Invalid run config or golden fixture; the message carries the field path."""
 
 
 # scenario name -> model class and its config key -> constructor argument map
@@ -102,9 +98,9 @@ def _float_list(value, path: str, length: int | None = None) -> list:
 
 def _object(value, path: str, required, optional=()) -> dict:
     """value as a JSON object with every required key and no unknown one;
-    ``path`` is the object's field path, "" for the config root."""
+    ``path`` is the object's field path, "" for the file's root."""
     if not isinstance(value, dict):
-        _fail(path or "config root", f"must be a JSON object, got {value!r}")
+        _fail(path or "root", f"must be a JSON object, got {value!r}")
     prefix = f"{path}." if path else ""
     for key in value:
         if key not in required and key not in optional:
@@ -119,10 +115,10 @@ def _dump_steps(steps, path: str, t_steps: int) -> list:
     """steps as a list of integer step indices in [0, T)."""
     if not isinstance(steps, list):
         _fail(path, f"must be a list of step indices, got {steps!r}")
-    for i, k in enumerate(steps):
-        if not 0 <= _integer(k, f"{path}[{i}]") < t_steps:
-            _fail(f"{path}[{i}]", f"step {k} outside horizon T={t_steps}")
-    return steps
+    try:
+        return check_dump_steps(steps, t_steps)
+    except ArgumentError as exc:
+        _fail(f"{path}[{exc.index}]", exc.rule)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -167,16 +163,20 @@ def parse_config(data: dict) -> RunConfig:
     return RunConfig(scenario, seed, dump)
 
 
-def load_config(path) -> RunConfig:
+def _read_json(path, kind: str):
+    """The parsed JSON of the ``kind`` file at ``path``, a Path or a package resource."""
     try:
-        text = Path(path).read_text()
+        text = path.read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(data)
+        raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(_read_json(Path(path), "config"))
 
 
 def build_scenario(cfg: RunConfig) -> Scenario:
@@ -291,29 +291,28 @@ def _load_fixture(path_arg: str) -> dict:
     if not path.is_file():
         path = _bundled_fixture(path.name)
         if path is None:
-            raise FixtureError(f"fixture not found: {path_arg}")
-    text = path.read_text()
+            raise ConfigError(f"fixture not found: {path_arg}")
+    return _object(_read_json(path, "fixture"), "",
+                   ("initial_particles", "noises", "z", "expected_predicted",
+                    "expected_weights", "tolerance"), ("r",))
+
+
+def _tolerance(value, path: str) -> float:
+    """A tolerance: a finite number >= 0."""
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-        raise FixtureError(f"fixture {path_arg} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FixtureError(f"fixture {path_arg}: root must be a JSON object")
-    required = {"initial_particles", "noises", "z", "expected_predicted", "expected_weights", "tolerance"}
-    missing = required - set(data)
-    if missing:
-        raise FixtureError(f"fixture {path_arg}: missing fields {sorted(missing)}")
-    return data
+        return float(check_arg(path, _number(value, path), low=0.0))
+    except ArgumentError as exc:
+        _fail(path, exc.rule)
 
 
 def _tolerances(tol) -> tuple[float, float]:
-    if isinstance(tol, (int, float)) and not isinstance(tol, bool):
-        tol = _number(tol, "tolerance")
-        return tol, tol
-    if isinstance(tol, dict) and set(tol) <= {"predicted", "weights"}:
-        return (_number(tol.get("predicted", 1e-9), "tolerance.predicted"),
-                _number(tol.get("weights", 1e-9), "tolerance.weights"))
-    raise FixtureError(f"tolerance: must be a number or {{'predicted': .., 'weights': ..}}, got {tol!r}")
+    """(predicted, weights): one number for both, or an object; 1e-9 for a key left out."""
+    if isinstance(tol, dict):
+        _object(tol, "tolerance", (), ("predicted", "weights"))
+        return (_tolerance(tol.get("predicted", 1e-9), "tolerance.predicted"),
+                _tolerance(tol.get("weights", 1e-9), "tolerance.weights"))
+    tol = _tolerance(tol, "tolerance")
+    return tol, tol
 
 
 def cmd_golden(fixture_arg: str) -> int:

@@ -150,47 +150,32 @@ class ParticleSet:
         """Build a set with equal weights 1/N."""
         arr = np.asarray(particles, dtype=float)
         n = arr.shape[0]
-        return cls(arr, np.full(n, -np.log(n)), generation)
+        # max(n, 1): an empty set meets the constructor's check, not log(0)'s warning
+        return cls(arr, np.full(n, -np.log(max(n, 1))), generation)
 
 
-def _max_shift(log_weights) -> tuple[np.ndarray, float]:
-    """The log-weights as a float array and their maximum, the shift."""
+def normalize_weights(log_weights) -> tuple[np.ndarray, float, float]:
+    """Normalize log-weights: (w, m, s) with m = max(lw), s = sum(exp(lw - m))
+    and the linear weights w = exp(lw - m) / s.
+
+    The shift by m makes the largest term exp(0), so underflow can never zero
+    out the whole vector; w always sums to 1 up to float rounding. m + log(s)
+    is log(sum(exp(lw))). The normalized log-weights are (lw - m) - log(s),
+    subtracted in that order: for |m| beyond ~1e16, m + log(s) rounds to m
+    and lw - (m + log(s)) would no longer be normalized (Blanchard, Higham &
+    Higham 2021).
+    """
     lw = np.asarray(log_weights, dtype=float)
     if lw.size < 1:
         raise ValueError("need at least one log-weight")
     m = lw.max()
     if m == -np.inf:
         raise AllWeightsCollapsed("all log-weights are -inf")
-    return lw, m
-
-
-def normalize_weights(log_weights) -> np.ndarray:
-    """Turn log-weights into normalized linear weights.
-
-    The maximum log-weight is subtracted before exponentiation, so the
-    largest term is exp(0) and underflow can never zero out the whole
-    vector; the result always sums to 1 up to float rounding.
-    """
-    lw, m = _max_shift(log_weights)
     w = lw - m
     np.exp(w, out=w)
-    w /= w.sum()
-    return w
-
-
-def normalized_log_weights(log_weights) -> np.ndarray:
-    """Normalize in the log domain: lw - log(sum(exp(lw))), max-shifted.
-
-    Keeps tiny weights at their true log values instead of flushing them
-    to zero through a linear round trip. The log-sum is subtracted from the
-    shifted values, (lw - m) - log(s), not as lw - (m + log(s)): for
-    |m| beyond ~1e16 the sum m + log(s) rounds to m and the result would
-    no longer be normalized (Blanchard, Higham & Higham 2021).
-    """
-    lw, m = _max_shift(log_weights)
-    shifted = lw - m
-    shifted -= np.log(np.exp(shifted).sum())
-    return shifted
+    s = w.sum()
+    w /= s
+    return w, m, s
 
 
 def weighted_mean(particle_set: ParticleSet) -> np.ndarray:

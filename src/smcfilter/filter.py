@@ -22,7 +22,6 @@ from .core import (
     check_arg,
     map_estimate,
     normalize_weights,
-    normalized_log_weights,
     weighted_mean,
 )
 from .models import DimensionMismatch, check_measurement, log_likelihood, propagate
@@ -149,7 +148,7 @@ def _advance(state: FilterState, z, predicted: np.ndarray) -> StepOutcome:
     log_w += pset.log_weights
     degenerate = False
     try:
-        weights = normalize_weights(log_w)
+        weights, m, s = normalize_weights(log_w)
     except AllWeightsCollapsed:
         # Recover instead of aborting: reset to uniform and flag the event.
         degenerate = True
@@ -163,12 +162,14 @@ def _advance(state: FilterState, z, predicted: np.ndarray) -> StepOutcome:
         else:
             indices = multinomial_resample(weights, state.rng)
         predicted = predicted.take(indices, axis=0)
-    # Only a step that keeps its weights needs them normalized in the log
-    # domain; resampling and a collapse both reset them to uniform.
+    # Resampling and a collapse both reset the weights to uniform. A step
+    # that keeps them normalizes its own array in place, (lw - m) - log(s)
+    # in that order (see normalize_weights).
     if resampled or degenerate:
         log_w = np.full(n, -np.log(n))
     else:
-        log_w = normalized_log_weights(log_w)
+        log_w -= m
+        log_w -= np.log(s)
 
     state.set = ParticleSet._trusted(predicted, log_w, pset.generation + 1)
     return StepOutcome(

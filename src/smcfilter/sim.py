@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filter as sir
-from .core import RngStream, check_arg, weighted_mean
+from .core import ArgumentError, RngStream, check_arg, weighted_mean
 from .filter import FilterState, GaussianPrior
 from .models import DimensionMismatch, predict_measurement, propagate
 from .resampling import ResamplePolicy, effective_sample_size
@@ -78,6 +78,17 @@ class Trace:
         return getattr(self, attr)
 
 
+def check_dump_steps(steps, t_steps: int) -> list:
+    """steps as a list of ints. Raise ArgumentError("dump_steps", ..., i) at the
+    first step i that is not an integer or lies outside [0, t_steps)."""
+    for i, k in enumerate(steps):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ArgumentError("dump_steps", f"must be an integer, got {k!r}", i)
+        if not 0 <= k < t_steps:
+            raise ArgumentError("dump_steps", f"step {k} outside horizon T={t_steps}", i)
+    return [int(k) for k in steps]
+
+
 def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
     """Run one seeded experiment end to end and return its trace.
 
@@ -85,12 +96,13 @@ def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
     process noise, measurement noise, the filter's N particle noises, then
     the resample offset if resampling fired. Before the loop, the prior
     draws consume N*n normals. k=0 carries no measurement (NaN columns);
-    its estimate is the prior's weighted mean.
+    its estimate is the prior's weighted mean. ``dump_steps`` are checked
+    by check_dump_steps before anything is drawn.
     """
     model = scenario.model
     n, t_steps = model.state_dim, scenario.t_steps
+    dump_steps = set(check_dump_steps(dump_steps, t_steps))
     rng = RngStream(seed)
-    dump_steps = set(int(k) for k in dump_steps)
 
     state = sir.init(
         model,

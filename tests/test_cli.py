@@ -324,7 +324,16 @@ class TestGoldenCommand:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"initial_particles": [1.0]}))
         assert cli.main(["golden", str(path)]) == 2
-        assert "missing field" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: noises: missing required field\n"
+
+    def test_empty_initial_particles_exits_2(self, tmp_path, capsys):
+        fixture = json.loads(cli._bundled_fixture("ch4_k1.json").read_text())
+        fixture["initial_particles"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(fixture))
+        assert cli.main(["golden", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: particles must be a non-empty") and err.count("\n") == 1
 
     def test_unparseable_fixture_exits_2(self, tmp_path):
         path = tmp_path / "garbage.json"
@@ -351,13 +360,19 @@ class TestGoldenCommand:
             ("initial_particles", [[-1.5], [0.2], [1.0], [2.5], [3.0]]),
             ("noises", [0.3, -0.4, True, -0.2, 0.5]),
             ("z", [None]),
+            pytest.param("tolerance", float("inf"), id="tolerance-inf"),
+            pytest.param("tolerance", "1e400", id="tolerance-1e400"),
+            pytest.param("tolerance", -1, id="tolerance-negative"),
+            pytest.param("tolerance", {"weights": -0.1}, id="tolerance-weights-negative"),
+            pytest.param("R", 1.0, id="unknown-field"),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):
         fixture = json.loads(cli._bundled_fixture("ch4_k1.json").read_text())
         fixture[field] = value
         path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(fixture))
+        # "1e400" stands for the literal, which JSON reads as inf
+        path.write_text(json.dumps(fixture).replace('"1e400"', "1e400"))
         assert cli.main(["golden", str(path)]) == 2
         err = capsys.readouterr().err
         # one line, naming the field

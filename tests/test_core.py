@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smcfilter import filter as sir
 from smcfilter.core import (
     AllWeightsCollapsed,
     ArgumentError,
@@ -11,9 +14,10 @@ from smcfilter.core import (
     check_arg,
     map_estimate,
     normalize_weights,
-    normalized_log_weights,
     weighted_mean,
 )
+from smcfilter.models import RandomWalk1D
+from smcfilter.resampling import ResamplePolicy
 
 # Worked single-step example used throughout: five predicted particles with
 # hand-computed Gaussian likelihood factors and their normalized weights.
@@ -25,39 +29,56 @@ finite_logs = st.floats(min_value=-300.0, max_value=50.0)
 log_weight_lists = st.lists(finite_logs, min_size=1, max_size=50)
 
 
+def kept_log_weights(log_weights):
+    """The log-weights after one step that keeps them (threshold 0). The
+    particles are equal and hold still (q = 0), so z = 0 adds the same
+    log-likelihood to each and the step only renormalizes."""
+    log_weights = np.asarray(log_weights, dtype=float)
+    state = sir.FilterState(
+        set=ParticleSet(np.zeros(log_weights.size), log_weights),
+        model=RandomWalk1D(q=0.0, r=1.0),
+        policy=ResamplePolicy("systematic", 0.0),
+        rng=RngStream(0),
+    )
+    assert not sir.step(state, [0.0]).resampled
+    return state.set.log_weights
+
+
 class TestNormalizeWeights:
     def test_worked_example(self):
         log_w = np.log(0.2 * GOLDEN_FACTORS)
-        out = normalize_weights(log_w)
+        out, m, s = normalize_weights(log_w)
+        assert m == log_w.max()
+        assert s == np.exp(log_w - m).sum()
         np.testing.assert_allclose(out, GOLDEN_WEIGHTS, atol=0.005)
         # independent oracle: direct linear normalization of the factors
         np.testing.assert_allclose(out, GOLDEN_FACTORS / GOLDEN_FACTORS.sum(), atol=1e-12)
 
     def test_uniform(self):
-        out = normalize_weights(np.full(5, -3.7))
+        out, _, _ = normalize_weights(np.full(5, -3.7))
         np.testing.assert_allclose(out, np.full(5, 0.2), atol=1e-12)
 
     def test_shift_invariance_example(self):
         lw = np.array([-1.0, 0.0, 2.5])
         np.testing.assert_allclose(
-            normalize_weights(lw), normalize_weights(lw + 123.456), atol=1e-12
+            normalize_weights(lw)[0], normalize_weights(lw + 123.456)[0], atol=1e-12
         )
 
     @given(log_weight_lists, st.floats(min_value=-100, max_value=100))
     def test_shift_invariance(self, lw, c):
         lw = np.array(lw)
         np.testing.assert_allclose(
-            normalize_weights(lw), normalize_weights(lw + c), atol=1e-12
+            normalize_weights(lw)[0], normalize_weights(lw + c)[0], atol=1e-12
         )
 
     @given(log_weight_lists)
     def test_probability_vector(self, lw):
-        out = normalize_weights(np.array(lw))
+        out, _, _ = normalize_weights(np.array(lw))
         assert np.all(out >= 0)
         assert abs(out.sum() - 1.0) < 1e-9
 
     def test_minus_inf_entries_get_zero_weight(self):
-        out = normalize_weights(np.array([0.0, -np.inf, 0.0]))
+        out, _, _ = normalize_weights(np.array([0.0, -np.inf, 0.0]))
         np.testing.assert_allclose(out, [0.5, 0.0, 0.5], atol=1e-12)
 
     def test_all_collapsed_raises(self):
@@ -69,7 +90,7 @@ class TestNormalizeWeights:
             normalize_weights(np.array([]))
 
     def test_extreme_magnitudes_do_not_underflow(self):
-        out = normalize_weights(np.array([-2000.0, -2001.0]))
+        out, _, _ = normalize_weights(np.array([-2000.0, -2001.0]))
         assert abs(out.sum() - 1.0) < 1e-9
         assert out[0] > out[1] > 0
 
@@ -77,11 +98,11 @@ class TestNormalizeWeights:
     def test_log_domain_normalization_consistent(self, lw):
         lw = np.array(lw)
         np.testing.assert_allclose(
-            np.exp(normalized_log_weights(lw)), normalize_weights(lw), atol=1e-12
+            np.exp(kept_log_weights(lw)), normalize_weights(lw)[0], atol=1e-12
         )
 
     def test_log_domain_keeps_tiny_weights(self):
-        out = normalized_log_weights(np.array([0.0, -800.0]))
+        out = kept_log_weights([0.0, -800.0])
         assert np.isfinite(out[1])
         assert out[1] == pytest.approx(-800.0, abs=1e-9)
 
@@ -89,7 +110,7 @@ class TestNormalizeWeights:
     def test_log_domain_survives_a_huge_shift(self, shift):
         # m + log(s) rounds to m for |m| beyond ~1e16; the result must not
         # lose the log(s) term
-        out = normalized_log_weights(np.array([shift, shift]))
+        out = kept_log_weights([shift, shift])
         np.testing.assert_array_equal(out, [-np.log(2.0), -np.log(2.0)])
 
 
@@ -214,6 +235,12 @@ class TestParticleSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ParticleSet(np.zeros((0, 2)), np.zeros(0))
+
+    def test_uniform_empty_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-empty"):
+                ParticleSet.uniform(np.empty((0, 1)))
 
 
 class TestCheckArg:

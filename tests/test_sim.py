@@ -141,6 +141,22 @@ class TestRunScenario:
             assert weights.shape == (32,)
             assert abs(weights.sum() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize(
+        "steps, index, rule",
+        [
+            ([99], 0, "step 99 outside horizon T=10"),
+            ([0, -1], 1, "step -1 outside horizon T=10"),
+            ([10], 0, "step 10 outside horizon T=10"),
+            ([1, 2.7], 1, "must be an integer, got 2.7"),
+            ([True], 0, "must be an integer, got True"),
+        ],
+        ids=["past-horizon", "negative", "at-horizon", "float", "bool"],
+    )
+    def test_bad_dump_step_rejected(self, steps, index, rule):
+        with pytest.raises(ArgumentError) as err:
+            run_scenario(rw_scenario(t=10, n=32), seed=3, dump_steps=steps)
+        assert (err.value.name, err.value.index, err.value.rule) == ("dump_steps", index, rule)
+
     def test_cv2d_scenario_runs(self):
         trace = run_scenario(cv_scenario(t=10, n=100), seed=11)
         assert len(trace) == 10

@@ -18,6 +18,11 @@ RETIRED = {
         "the step takes its ESS from resampling._ess, which skips the public "
         "sum check; its cost now shows in filter.step self time"
     ),
+    ("smcfilter.filter", "normalized_log_weights"): (
+        "normalize_weights returns the shift m and the sum s, and a step that "
+        "keeps its weights normalizes its own log-weights in place with them; "
+        "core.normalize still sees one normalize_weights call per step"
+    ),
     ("smcfilter.sim", "sample_process_noise"): (
         "run_scenario draws a step's truth and sensor noise in one "
         "standard_normal(n + o) call and scales it by process_std and meas_std"
