@@ -188,14 +188,6 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _write_csv(path, columns, row_format, rows) -> None:
-    """Write the header and then each row, a sequence of values, formatted
-    with ``row_format``; the lines are streamed, not collected first."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(row_format % tuple(row) for row in rows)
-
-
 def write_trace_csv(path, trace: Trace, model) -> None:
     """Fixed column order: k, truth_*, meas_*, est_*, ess, resampled, degenerate."""
     columns = (
@@ -210,20 +202,38 @@ def write_trace_csv(path, trace: Trace, model) -> None:
         trace.ess, trace.resampled, trace.degenerate,
     ))
     row_format = "%d," + ",".join(["%.9g"] * (len(columns) - 3)) + ",%d,%d\n"
-    _write_csv(path, columns, row_format, table.tolist())
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row_format % tuple(row) for row in table.tolist())
+
+
+# Rows of a particle dump formatted and written at a time: the writer's
+# memory stays the same whatever N is.
+_BLOCK_ROWS = 2048
 
 
 def write_particles_csv(path, trace: Trace, model) -> None:
-    columns = ["k", "i", "weight"] + list(model.state_labels)
+    """Columns k, i, weight, state_*: one row per particle of each dumped step.
 
-    def rows():
+    After a resampling step the copies of a survivor sit on consecutive rows
+    with the same weight and state, so each run of such rows is formatted
+    once. Runs are told apart by their bits, not by ==: 0.0 and -0.0 compare
+    equal but print as 0 and -0."""
+    columns = ["k", "i", "weight"] + list(model.state_labels)
+    row_format = ",".join(["%.9g"] * (len(columns) - 2)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
         for k in sorted(trace.snapshots):
             particles, weights = trace.snapshots[k]
-            n = len(weights)
-            yield from np.column_stack((np.full(n, k), np.arange(n), weights, particles)).tolist()
-
-    row_format = "%d,%d," + ",".join(["%.9g"] * (len(columns) - 2)) + "\n"
-    _write_csv(path, columns, row_format, rows())
+            for start in range(0, len(weights), _BLOCK_ROWS):
+                stop = start + _BLOCK_ROWS
+                table = np.column_stack((weights[start:stop], particles[start:stop]))
+                bits = table.view(np.uint64)
+                firsts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+                texts = np.array([row_format % tuple(row) for row in table[firsts].tolist()],
+                                 dtype=object)
+                rows = np.repeat(texts, np.diff(firsts, append=len(table))).tolist()
+                fh.write("".join([f"{k},{i},{row}" for i, row in enumerate(rows, start)]))
 
 
 def _resolve_seed(cli_seed, cfg_seed) -> tuple[int, str]:
@@ -319,15 +329,16 @@ def cmd_golden(fixture_arg: str) -> int:
     try:
         data = _load_fixture(fixture_arg)
         tol_predicted, tol_weights = _tolerances(data["tolerance"])
-        initial, noises, expected_predicted, expected_weights = (
-            np.array(_float_list(data[key], key))
-            for key in ("initial_particles", "noises", "expected_predicted", "expected_weights")
+        initial = ParticleSet.uniform(_float_list(data["initial_particles"], "initial_particles"))
+        noises = _float_list(data["noises"], "noises", initial.n_particles)
+        expected_predicted, expected_weights = (
+            np.array(_float_list(data[key], key)) for key in ("expected_predicted", "expected_weights")
         )
         z = data["z"]
-        z = _float_list(z, "z") if isinstance(z, list) else _number(z, "z")
+        z = _float_list(z, "z", RandomWalk1D.obs_dim) if isinstance(z, list) else _number(z, "z")
         # threshold 0 keeps the post-step set equal to the predicted/weighted one
         state = FilterState(
-            set=ParticleSet.uniform(initial),
+            set=initial,
             model=RandomWalk1D(q=1.0, r=_number(data.get("r", 4.0), "r")),
             policy=ResamplePolicy("systematic", 0.0),
             rng=RngStream(0),

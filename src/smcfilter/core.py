@@ -149,8 +149,9 @@ class ParticleSet:
     def uniform(cls, particles, generation: int = 0) -> "ParticleSet":
         """Build a set with equal weights 1/N."""
         arr = np.asarray(particles, dtype=float)
-        n = arr.shape[0]
-        # max(n, 1): an empty set meets the constructor's check, not log(0)'s warning
+        # a scalar or empty input meets the constructor's check, not an
+        # IndexError or log(0)'s warning
+        n = arr.shape[0] if arr.ndim else 0
         return cls(arr, np.full(n, -np.log(max(n, 1))), generation)
 
 

@@ -153,7 +153,8 @@ def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
 
 
 def _snapshot(state: FilterState) -> tuple[np.ndarray, np.ndarray]:
-    return state.set.particles.copy(), state.set.weights.copy()
+    # weights is a fresh exp of the log-weights; the particles need a copy
+    return state.set.particles.copy(), state.set.weights
 
 
 def rmse(a, b) -> float:

@@ -1,12 +1,18 @@
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smcfilter import cli
 from smcfilter.cli import ConfigError, build_scenario, load_config, parse_config
+from smcfilter.models import ConstantVelocity2D, RandomWalk1D
 from smcfilter.resampling import ResamplePolicy
+from smcfilter.sim import Trace, run_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -285,6 +291,78 @@ class TestRunCommand:
         assert len(digits) <= 9
 
 
+def reference_write_particles_csv(path, trace, model) -> None:
+    """The row-at-a-time particle writer: every row formatted on its own."""
+    columns = ["k", "i", "weight"] + list(model.state_labels)
+
+    def rows():
+        for k in sorted(trace.snapshots):
+            particles, weights = trace.snapshots[k]
+            n = len(weights)
+            yield from np.column_stack((np.full(n, k), np.arange(n), weights, particles)).tolist()
+
+    row_format = "%d,%d," + ",".join(["%.9g"] * (len(columns) - 2)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row_format % tuple(row) for row in rows())
+
+
+# Signed zeros (equal under ==, printed as 0 and -0), the smallest subnormal
+# and a huge magnitude, plus ordinary values; few enough that neighbouring
+# rows often share a weight or a state.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0]
+MODELS = {1: RandomWalk1D, 4: ConstantVelocity2D}
+
+
+@st.composite
+def dumps(draw):
+    """(block, dim, snapshots): each snapshot is runs of repeated (weight,
+    state) rows; block is the writer's rows per write, small enough that
+    runs cross from one block into the next."""
+    block = draw(st.integers(1, 8))
+    dim = draw(st.sampled_from(sorted(MODELS)))
+    row = st.tuples(st.sampled_from(EDGE_VALUES),
+                    st.lists(st.sampled_from(EDGE_VALUES), min_size=dim, max_size=dim))
+    snapshots = {}
+    for k in draw(st.sets(st.integers(0, 300), min_size=1, max_size=3)):
+        runs = draw(st.lists(st.tuples(row, st.integers(1, 4)), min_size=1, max_size=12))
+        rows = [r for r, count in runs for _ in range(count)]
+        snapshots[k] = (np.array([x for _, x in rows]), np.array([w for w, _ in rows]))
+    return block, dim, snapshots
+
+
+class TestParticleWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(dumps())
+    @example((2048, 1, {0: (np.array([[0.5]]), np.array([1.0]))}))
+    @example((2048, 1, {3: (np.array([[0.0], [-0.0], [-0.0], [0.0]]), np.full(4, 0.25))}))
+    @example((2048, 4, {9: (np.array([[1e300] * 4, [5e-324] * 4]), np.array([0.5, 0.5]))}))
+    def test_matches_row_at_a_time_writer(self, tmp_path_factory, dump):
+        block, dim, snapshots = dump
+        trace = Trace(*[np.empty(0)] * 6, final_ess=1.0, snapshots=snapshots)
+        tmp = tmp_path_factory.mktemp("dump")
+        with mock.patch.object(cli, "_BLOCK_ROWS", block):
+            cli.write_particles_csv(tmp / "runs.csv", trace, MODELS[dim])
+        reference_write_particles_csv(tmp / "rows.csv", trace, MODELS[dim])
+        assert (tmp / "runs.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+
+    def test_signed_zero_rows_keep_their_sign(self, tmp_path):
+        # prior -0 + 0 * noise and q = 0 give particles of both signs that
+        # resampling then copies onto consecutive rows
+        data = sample_config(T=5, model={"q": 0.0, "r": 1.0},
+                             prior={"mean": [-0.0], "std": [0.0]},
+                             threshold_fraction=1.0, dump_particles=[0, 1, 4])
+        out = tmp_path / "trace.csv"
+        assert cli.main(["run", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
+        dump = (tmp_path / "trace.csv.particles.csv").read_bytes()
+        states = {line.rsplit(b",", 1)[1] for line in dump.splitlines()[1:]}
+        assert states == {b"0", b"-0"}
+        cfg = parse_config(data)
+        trace = run_scenario(cfg.scenario, cfg.seed, cfg.dump_particles)
+        reference_write_particles_csv(tmp_path / "rows.csv", trace, cfg.scenario.model)
+        assert dump == (tmp_path / "rows.csv").read_bytes()
+
+
 class TestGoldenCommand:
     def test_bundled_fixtures_pass(self, capsys):
         assert cli.main(["golden", "ch4_k1.json"]) == 0
@@ -365,6 +443,8 @@ class TestGoldenCommand:
             pytest.param("tolerance", -1, id="tolerance-negative"),
             pytest.param("tolerance", {"weights": -0.1}, id="tolerance-weights-negative"),
             pytest.param("R", 1.0, id="unknown-field"),
+            pytest.param("z", [], id="z-empty"),
+            pytest.param("noises", [0.0], id="noises-short"),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):
@@ -375,8 +455,8 @@ class TestGoldenCommand:
         path.write_text(json.dumps(fixture).replace('"1e400"', "1e400"))
         assert cli.main(["golden", str(path)]) == 2
         err = capsys.readouterr().err
-        # one line, naming the field
-        assert err.startswith(f"error: {field}") and err.count("\n") == 1
+        # one line, under the field's path
+        assert re.match(rf"error: {field}(\.\w+|\[\d+\])?: ", err) and err.count("\n") == 1
 
     def test_expected_length_mismatch_is_reported(self, tmp_path, capsys):
         fixture = json.loads(cli._bundled_fixture("ch4_k1.json").read_text())

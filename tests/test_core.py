@@ -242,6 +242,10 @@ class TestParticleSet:
             with pytest.raises(ValueError, match="non-empty"):
                 ParticleSet.uniform(np.empty((0, 1)))
 
+    def test_uniform_scalar_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ParticleSet.uniform(1.0)
+
 
 class TestCheckArg:
     @pytest.mark.parametrize(

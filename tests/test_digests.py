@@ -32,6 +32,7 @@ DIGESTS = {
     "demo-2d": "c228c0550fb84f0612bdd9087a2dc9eace42b856ff9646b8688d7bf9e78b8a1d",
     "cv2d-mnmap": "3f8dad68321b2a5ff8bb9432b0be9d42c5a1638b9abc97943edffb3830409700",
     "cv2d-mnmap.particles": "1935e3b93e478b6be8479b243a3be485540f435be72ab89c1fb29865ed9b8e25",
+    "cv2d-kept.particles": "251665e60258d5db60f90aa7eac075ed998c7d813532e86640147a57a381c724",
 }
 
 
@@ -53,3 +54,16 @@ def test_multinomial_map_run_digests(tmp_path):
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert sha256(out) == DIGESTS["cv2d-mnmap"]
     assert sha256(tmp_path / "trace.csv.particles.csv") == DIGESTS["cv2d-mnmap.particles"]
+
+
+def test_unresampled_dump_digest(tmp_path):
+    """Threshold 0 never resamples: the weights are not uniform and no row
+    repeats the one above, so every row of the dump is formatted on its own."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(CV2D_MNMAP, threshold_fraction=0.0)))
+    out = tmp_path / "trace.csv"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    dump = tmp_path / "trace.csv.particles.csv"
+    rows = [line.split(",", 2)[2] for line in dump.read_text().splitlines()[1:]]
+    assert all(a != b for a, b in zip(rows, rows[1:]))
+    assert sha256(dump) == DIGESTS["cv2d-kept.particles"]

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smcfilter import filter as sir
 from smcfilter.core import ArgumentError, RngStream
 from smcfilter.filter import GaussianPrior
 from smcfilter.models import ConstantVelocity2D, DimensionMismatch, RandomWalk1D
 from smcfilter.resampling import ResamplePolicy
-from smcfilter.sim import Scenario, rmse, run_scenario
+from smcfilter.sim import Scenario, _snapshot, rmse, run_scenario
 
 
 def rw_scenario(q=1.0, r=4.0, t=15, n=200, threshold=0.5, scheme="systematic",
@@ -140,6 +141,13 @@ class TestRunScenario:
             assert particles.shape == (32, 1)
             assert weights.shape == (32,)
             assert abs(weights.sum() - 1.0) < 1e-9
+
+    def test_snapshot_shares_no_memory_with_the_filter(self):
+        state = sir.init(RandomWalk1D(q=1.0, r=4.0), GaussianPrior([0.0], [2.0]), 16, RngStream(0))
+        particles, weights = _snapshot(state)
+        for held in (state.set.particles, state.set.log_weights):
+            assert not np.shares_memory(particles, held)
+            assert not np.shares_memory(weights, held)
 
     @pytest.mark.parametrize(
         "steps, index, rule",
