@@ -29,10 +29,19 @@ class ArgumentError(ValueError):
         self.name, self.rule, self.index = name, rule, index
 
 
-def check_arg(name: str, value, low=None, high=None, strict=False, error=ArgumentError):
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; bool, though an int, is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_arg(name: str, value, low=None, high=None, strict=False, integer=False,
+              error=ArgumentError):
     """``value`` as a float array. Raise ``error`` for argument ``name``
     unless every element is finite and lies in [low, high], with low itself
-    excluded when ``strict``; a bound of None is open."""
+    excluded when ``strict``; a bound of None is open. With ``integer``,
+    ``value`` must also be a single integer (see is_integer)."""
+    if integer and not is_integer(value):
+        raise error(name, f"must be an integer, got {value!r}")
     bound = None
     if high is not None:
         bound = f"must be in [{low:g}, {high:g}]"
@@ -66,6 +75,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
+        if not is_integer(seed):
+            raise ArgumentError("seed", f"must be an integer, got {seed!r}")
         seed = int(seed)
         if not 0 <= seed < 2**64:
             raise ArgumentError("seed", f"must be an unsigned 64-bit integer, got {seed}")

@@ -10,6 +10,7 @@ place and return a StepOutcome with the step's estimate and diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,14 @@ from .core import (
     normalize_weights,
     weighted_mean,
 )
-from .models import DimensionMismatch, check_measurement, log_likelihood, propagate
+from .models import DimensionMismatch, check_measurement
+# The step runs the unchecked kernels on arrays it built itself. They are
+# bound under the public names because the benchmark's layer tracer times
+# the models.* layers through smcfilter.filter.propagate and
+# smcfilter.filter.log_likelihood; once it hooks the kernels by their own
+# names, these aliases go.
+from .models import _log_likelihood as log_likelihood
+from .models import _propagate as propagate
 from .resampling import (
     ResamplePolicy,
     _ess,
@@ -96,7 +104,7 @@ def _estimate(state: FilterState) -> np.ndarray:
 def check_settings(model, prior: GaussianPrior, n_particles: int, estimator: str) -> None:
     """init's rules for the particle count, the estimator and the prior's
     dimension; Scenario applies them at construction."""
-    check_arg("n_particles", n_particles, low=1)
+    check_arg("n_particles", n_particles, low=1, integer=True)
     if estimator not in ESTIMATORS:
         raise ArgumentError("estimator", f"must be one of {ESTIMATORS}, got {estimator!r}")
     if prior.dim != model.state_dim:
@@ -136,7 +144,11 @@ def _advance(state: FilterState, z, predicted: np.ndarray) -> StepOutcome:
     ``z`` has passed check_measurement. Every other array here is built by
     the step itself, so beyond one overflow guard nothing is re-validated.
     """
-    if not np.isfinite(predicted).all():
+    # A sum of squares is finite only if every particle is. np.vdot takes it
+    # in one pass with no temporary and, unlike a numpy sum, warns of no
+    # overflow. When it is not finite, because a particle is not or because
+    # the squares overflow, the exact test decides.
+    if not math.isfinite(np.vdot(predicted, predicted)) and not np.isfinite(predicted).all():
         raise ValueError("particles must be finite")
     model = state.model
     pset = state.set
@@ -180,10 +192,23 @@ def _advance(state: FilterState, z, predicted: np.ndarray) -> StepOutcome:
     )
 
 
+def _check_entry(state: FilterState, z) -> np.ndarray:
+    """z through check_measurement, once the set's state length is checked
+    against the model's (DimensionMismatch otherwise). Both checks run
+    before anything is drawn."""
+    model = state.model
+    if state.set.dim != model.state_dim:
+        raise DimensionMismatch(
+            f"particles have length {state.set.dim}, model expects {model.state_dim}"
+        )
+    return check_measurement(model, z)
+
+
 def step(state: FilterState, z) -> StepOutcome:
     """Advance the filter by one measurement.
 
-    The measurement is checked first: a wrong shape or a non-finite
+    The particle length and the measurement are checked first: a set that
+    does not fit the model, a wrong measurement shape or a non-finite
     component raises before anything is drawn, leaving the set and the
     stream untouched. Stream consumption order: one process-noise vector per
     particle in index order (N*n normal draws), then, only if resampling
@@ -191,7 +216,7 @@ def step(state: FilterState, z) -> StepOutcome:
     The estimate is computed after any resampling.
     """
     model = state.model
-    z = check_measurement(model, z)
+    z = _check_entry(state, z)
     pset = state.set
     noises = state.rng.standard_normal((pset.n_particles, pset.dim))
     noises *= model.process_std
@@ -207,7 +232,7 @@ def step_with_injected_noise(state: FilterState, z, noises) -> StepOutcome:
     resampling fires, still come from the stream.
     """
     model = state.model
-    z = check_measurement(model, z)
+    z = _check_entry(state, z)
     noises = np.asarray(noises, dtype=float)
     if noises.ndim == 1:
         noises = noises[:, np.newaxis]

@@ -198,6 +198,12 @@ def propagate(model, x, noise) -> np.ndarray:
         noise = noise[np.newaxis]
     if noise.shape != x.shape:
         raise DimensionMismatch(f"noise shape {noise.shape} does not match state shape {x.shape}")
+    return _propagate(model, x, noise)
+
+
+def _propagate(model, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """propagate without its checks: x a float (n,) or (N, n) array of the
+    model's state length, noise a float array of the same shape."""
     return model.f(x) + noise
 
 
@@ -234,26 +240,30 @@ def log_likelihood(model, z, x):
     measurement raises NonFiniteMeasurement.
     """
     x = _check_state(model, x)
-    z = check_measurement(model, z)
+    ll = _log_likelihood(model, check_measurement(model, z), x)
+    return float(ll) if ll.ndim == 0 else ll
+
+
+def _log_likelihood(model, z: np.ndarray, x: np.ndarray):
+    """log_likelihood without its checks: z as check_measurement returns it,
+    x a float (n,) or (N, n) array of the model's state length. Returns a
+    numpy scalar for a single state, an (N,) array for a batch."""
     var = model.meas_var
     log_norm = model.meas_log_norm
     hx = model.h(x)
-
-    def column(j):
-        r = z[j] - hx[..., j]
-        r *= r
-        r /= var[j]
-        r += log_norm[j]
-        return r
-
     # One observation column at a time, in place: each pass runs over all N
     # particles, where a sum over the o-wide last axis loops once per
     # particle, and no pass allocates a fresh (N,) array that it need not.
     # For o <= 2 the result is bit-identical to that sum (a + b == b + a).
     with np.errstate(over="ignore"):
-        ll = column(0)
-        for j in range(1, model.obs_dim):
-            ll += column(j)
+        for j in range(model.obs_dim):
+            r = z[j] - hx[..., j]
+            r *= r
+            r /= var[j]
+            r += log_norm[j]
+            if j:
+                ll += r
+            else:
+                ll = r
     ll *= -0.5
-    return float(ll) if ll.ndim == 0 else ll
-
+    return ll

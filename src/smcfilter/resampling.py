@@ -36,13 +36,26 @@ class ResamplePolicy:
         check_arg("threshold_fraction", self.threshold_fraction, low=0.0, high=1.0)
 
 
-def _checked(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    total = w.sum()
+def _require_sum(total) -> None:
     # written so that a NaN sum fails too
     if not abs(total - 1.0) <= 1e-6:
         raise NotNormalized(f"weights sum to {total!r}, expected 1")
+
+
+def _checked(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    _require_sum(w.sum())
     return w
+
+
+def _checked_cumsum(weights) -> np.ndarray:
+    """The weights' cumulative sum, its last entry pinned to exactly 1 so a
+    rounding shortfall cannot walk past the last index. The sum check reads
+    the entry before the pin, so the weights are summed once."""
+    cumsum = np.asarray(weights, dtype=float).cumsum()
+    _require_sum(cumsum[-1] if cumsum.size else np.float64(0.0))
+    cumsum[-1] = 1.0
+    return cumsum
 
 
 def _ess(w: np.ndarray) -> float:
@@ -67,20 +80,19 @@ def systematic_resample(weights, u: float) -> np.ndarray:
     less-than comparison. The final cumulative entry is pinned to exactly 1
     so a rounding shortfall in the sum cannot walk past the last index.
     Deterministic given (weights, u); each index i appears floor(N*w_i) or
-    ceil(N*w_i) times.
+    ceil(N*w_i) times. The weights are checked before u.
     """
-    w = _checked(weights)
+    cumsum = _checked_cumsum(weights)
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must be in [0, 1), got {u}")
-    n = w.size
+    n = cumsum.size
     positions = np.arange(n, dtype=float)
     positions += u
     positions /= n
     # (n-1+u)/n can round to exactly 1.0 when u is the largest double below
-    # 1; pull it back inside [0, 1) so the strict walk stays in range
-    np.minimum(positions, _BELOW_ONE, out=positions)
-    cumsum = w.cumsum()
-    cumsum[-1] = 1.0
+    # 1; pull it back inside [0, 1) so the strict walk stays in range. Every
+    # earlier position is at most (n-1)/n, well below 1.
+    positions[-1] = min(positions[-1], _BELOW_ONE)
     return cumsum.searchsorted(positions, side="right")
 
 
@@ -90,11 +102,8 @@ def multinomial_resample(weights, rng: RngStream) -> np.ndarray:
     Sorting stabilizes traces and tests without changing the resampled
     distribution.
     """
-    w = _checked(weights)
-    n = w.size
-    cumsum = w.cumsum()
-    cumsum[-1] = 1.0
-    draws = rng.uniform(n)
+    cumsum = _checked_cumsum(weights)
+    draws = rng.uniform(cumsum.size)
     # searchsorted is monotone in its key, so sorting the draws first gives
     # the same indices as sorting the result, and the ordered lookups are
     # cheaper.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filter as sir
-from .core import ArgumentError, RngStream, check_arg, weighted_mean
+from .core import ArgumentError, RngStream, check_arg, is_integer, weighted_mean
 from .filter import FilterState, GaussianPrior
 from .models import DimensionMismatch, predict_measurement, propagate
 from .resampling import ResamplePolicy, effective_sample_size
@@ -34,7 +34,7 @@ class Scenario:
     estimator: str = "weighted_mean"
 
     def __post_init__(self):
-        check_arg("t_steps", self.t_steps, low=1)
+        check_arg("t_steps", self.t_steps, low=1, integer=True)
         self.initial_truth = np.atleast_1d(check_arg("initial_truth", self.initial_truth))
         n = self.model.state_dim
         if self.initial_truth.shape != (n,):
@@ -82,7 +82,7 @@ def check_dump_steps(steps, t_steps: int) -> list:
     """steps as a list of ints. Raise ArgumentError("dump_steps", ..., i) at the
     first step i that is not an integer or lies outside [0, t_steps)."""
     for i, k in enumerate(steps):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        if not is_integer(k):
             raise ArgumentError("dump_steps", f"must be an integer, got {k!r}", i)
         if not 0 <= k < t_steps:
             raise ArgumentError("dump_steps", f"step {k} outside horizon T={t_steps}", i)

@@ -119,6 +119,13 @@ class TestConfigParsing:
             parse_config(sample_config(model={"q": 1.0, "r": -4.0}))
         assert str(info.value) == "model.r: must be > 0, got -4.0"
 
+    @pytest.mark.parametrize("key", ["T", "N", "seed"])
+    def test_non_integer_count_keeps_the_boundary_message(self, key):
+        # the library rejects a non-integer too; the config's check comes first
+        with pytest.raises(ConfigError) as info:
+            parse_config(sample_config(**{key: 2.5}))
+        assert str(info.value) == f"{key}: must be an integer, got 2.5"
+
     def test_missing_required_field(self):
         data = sample_config()
         data.pop("model")

@@ -213,6 +213,20 @@ class TestRngStream:
         assert RngStream(0).seed == 0
         assert RngStream(2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("bad", [3.7, 1.0, True, False, "5", np.float64(2.0), np.bool_(True)])
+    def test_non_integer_seed_rejected(self, bad):
+        # int() would truncate 3.7 to 3 and read True as 1 and "5" as 5
+        with pytest.raises(ArgumentError) as info:
+            RngStream(bad)
+        assert info.value.name == "seed"
+        assert info.value.rule == f"must be an integer, got {bad!r}"
+
+    @pytest.mark.parametrize("seed", [np.int64(0), np.uint64(2**64 - 1), np.int32(7), np.uint8(3)])
+    def test_numpy_integer_seed_accepted(self, seed):
+        stream = RngStream(seed)
+        assert stream.seed == int(seed) and type(stream.seed) is int
+        assert stream.uniform() == RngStream(int(seed)).uniform()
+
 
 class TestParticleSet:
     def test_scalar_states_get_column_shape(self):
@@ -252,7 +266,8 @@ class TestCheckArg:
         "value, kwargs",
         [(0.0, {"low": 0.0}), (1e300, {"low": 0.0}), (1e-300, {"low": 0.0, "strict": True}),
          (0.0, {"low": 0.0, "high": 1.0}), (1.0, {"low": 0.0, "high": 1.0}),
-         (-5.0, {}), ([0.0, 2.0], {"low": 0.0}), (np.array([[1.0]]), {"low": 1})],
+         (-5.0, {}), ([0.0, 2.0], {"low": 0.0}), (np.array([[1.0]]), {"low": 1}),
+         (3, {"low": 1, "integer": True}), (np.int64(3), {"low": 1, "integer": True})],
     )
     def test_accepts(self, value, kwargs):
         check_arg("x", value, **kwargs)
@@ -268,6 +283,11 @@ class TestCheckArg:
             (float("-inf"), {}, "must be finite, got -inf", None),
             ([1.0, float("inf"), -1.0], {"low": 0.0}, "must be finite, got inf", 1),
             ([1.0, 2.0, -1.0], {"low": 0.0}, "must be >= 0, got -1.0", 2),
+            (2.5, {"low": 1, "integer": True}, "must be an integer, got 2.5", None),
+            (3.0, {"integer": True}, "must be an integer, got 3.0", None),
+            (True, {"low": 1, "integer": True}, "must be an integer, got True", None),
+            ("3", {"integer": True}, "must be an integer, got '3'", None),
+            (0, {"low": 1, "integer": True}, "must be >= 1, got 0", None),
         ],
     )
     def test_rejects_naming_argument_and_element(self, value, kwargs, rule, index):

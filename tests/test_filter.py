@@ -98,6 +98,13 @@ class TestInit:
         with pytest.raises(ArgumentError, match="^n_particles must be >= 1, got 0$"):
             init(RW, GaussianPrior([0.0], [1.0]), 0, RngStream(1))
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 100.0])
+    def test_non_integer_particle_count_rejected(self, bad):
+        with pytest.raises(ArgumentError) as info:
+            init(RW, GaussianPrior([0.0], [1.0]), bad, RngStream(1))
+        assert info.value.name == "n_particles"
+        assert info.value.rule == f"must be an integer, got {bad!r}"
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ArgumentError, match="^estimator must be one of"):
             init(RW, GaussianPrior([0.0], [1.0]), 5, RngStream(1), estimator="median")
@@ -227,6 +234,28 @@ class TestStep:
         assert np.array_equal(got.estimate, want.estimate)
         assert (got.ess, got.resampled) == (want.ess, want.resampled)
         assert state.rng.uniform() == twin.rng.uniform()
+
+    @pytest.mark.parametrize(
+        "model, dim", [(RW, 4), (ConstantVelocity2D(), 1), (ConstantVelocity2D(), 2)]
+    )
+    def test_set_of_wrong_length_rejected_before_any_draw(self, model, dim):
+        def injected(state, z):
+            return step_with_injected_noise(state, z, np.zeros((5, dim)))
+
+        z = np.zeros(model.obs_dim)
+        for advance in (step, injected):
+            state = FilterState(
+                set=ParticleSet.uniform(np.zeros((5, dim))),
+                model=model,
+                policy=ResamplePolicy("systematic", 1.0),
+                rng=RngStream(9),
+            )
+            before = state.set
+            with pytest.raises(DimensionMismatch, match=f"^particles have length {dim}, model"):
+                advance(state, z)
+            assert state.set is before
+            # not one draw was spent
+            assert state.rng.standard_normal() == RngStream(9).standard_normal()
 
     def test_propagate_overflow_raises_value_error(self):
         state = init(RW, GaussianPrior([1.5e308], [0.0]), 5, RngStream(1))

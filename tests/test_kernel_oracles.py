@@ -8,7 +8,10 @@ stays byte-identical, so the comparisons use ``np.array_equal``, not a
 tolerance.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +22,22 @@ from smcfilter.core import (
     RngStream,
     normalize_weights,
 )
-from smcfilter.models import ConstantVelocity2D, RandomWalk1D, log_likelihood, propagate
-from smcfilter.resampling import ResamplePolicy, multinomial_resample, systematic_resample
+from smcfilter.models import (
+    ConstantVelocity2D,
+    RandomWalk1D,
+    _log_likelihood,
+    _propagate,
+    check_measurement,
+    log_likelihood,
+    propagate,
+)
+from smcfilter.resampling import (
+    _BELOW_ONE,
+    NotNormalized,
+    ResamplePolicy,
+    multinomial_resample,
+    systematic_resample,
+)
 
 
 def oracle_log_likelihood(model, z, x):
@@ -149,6 +166,125 @@ class TestLogLikelihood:
         got = log_likelihood(model, z, x)
         assert isinstance(got, float)
         assert got == oracle_log_likelihood(model, z, x)
+
+
+class TestStepKernels:
+    """The unchecked kernels the step calls give the public functions' bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model_names, st.integers(1, 5000), seeds, variances, magnitudes, magnitudes)
+    def test_likelihood_kernel_matches_oracle_and_public(self, name, n, seed, r, z_mag, x_mag):
+        model = MODELS[name](r)
+        x = particles(model, n, seed, 10.0**x_mag)
+        z = measurement(model, seed, z_mag)
+        checked = check_measurement(model, z)
+        got = _log_likelihood(model, checked, x)
+        assert np.array_equal(got, oracle_log_likelihood(model, z, x))
+        assert np.array_equal(got, log_likelihood(model, z, x))
+        single = _log_likelihood(model, checked, x[0])
+        assert np.ndim(single) == 0
+        assert single == oracle_log_likelihood(model, z, x[0]) == log_likelihood(model, z, x[0])
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_overflowing_residual_gives_minus_inf_without_warning(self, name):
+        model = MODELS[name](1e-6)
+        x = np.zeros((3, model.state_dim))
+        x[1, 0] = 1e200  # residual 1e200: its square overflows
+        z = np.zeros(model.obs_dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log_likelihood(model, z, x)
+            public = log_likelihood(model, z, x)
+        with np.errstate(over="ignore"):
+            expected = oracle_log_likelihood(model, z, x)
+        assert got[1] == -np.inf and np.isfinite(got[[0, 2]]).all()
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, public)
+
+    @settings(max_examples=60, deadline=None)
+    @given(model_names, st.integers(1, 5000), seeds, magnitudes, magnitudes)
+    def test_propagate_kernel_matches_public(self, name, n, seed, x_mag, noise_mag):
+        model = MODELS[name](1.0)
+        x = particles(model, n, seed, 10.0**x_mag)
+        noise = particles(model, n, seed + 3, 10.0**noise_mag)
+        got = _propagate(model, x, noise)
+        assert got.shape == x.shape
+        assert np.array_equal(got, propagate(model, x, noise))
+        assert np.array_equal(_propagate(model, x[0], noise[0]), propagate(model, x[0], noise[0]))
+        if name == "rw1d":
+            assert np.array_equal(got, x + noise)
+
+
+class TestCheckedResamplers:
+    """The resamplers check the sum on their own cumsum, before u or a draw."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [np.array([]), np.array([0.5, np.nan]), np.array([0.5, 0.6]), np.array([0.2, 0.2]),
+         np.array([np.inf, -np.inf]), np.array([1.0 + 2e-6])],
+    )
+    def test_bad_weights_raise_before_u_and_draws(self, weights):
+        with warnings.catch_warnings():
+            # inf - inf in the sum warns; the weights are rejected all the same
+            warnings.simplefilter("ignore", RuntimeWarning)
+            message = f"weights sum to {weights.sum()!r}, expected 1"
+            with pytest.raises(NotNormalized) as info:
+                systematic_resample(weights, 1.5)  # u out of range, checked second
+            assert str(info.value) == message
+            rng = RngStream(5)
+            with pytest.raises(NotNormalized) as info:
+                multinomial_resample(weights, rng)
+            assert str(info.value) == message
+        assert rng.uniform() == RngStream(5).uniform()
+
+    def test_sum_within_tolerance_accepted(self):
+        w = np.array([0.5, 0.5 + 9e-7])
+        assert np.array_equal(systematic_resample(w, 0.25), oracle_systematic(w, 0.25))
+        assert np.array_equal(
+            multinomial_resample(w, RngStream(2)), oracle_multinomial(w, RngStream(2))
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 100, 1000, 4097])
+    def test_largest_u_stays_in_range(self, n):
+        # (n - 1 + u) / n rounds to exactly 1.0 for many n at this u
+        for w in (np.full(n, 1.0 / n), weight_vector(n, n, 0.5)):
+            got = systematic_resample(w, _BELOW_ONE)
+            assert np.array_equal(got, oracle_systematic(w, _BELOW_ONE))
+            assert 0 <= got.min() and got.max() < n
+        assert systematic_resample(np.full(n, 1.0 / n), _BELOW_ONE)[-1] == n - 1
+
+
+class TestFiniteGuard:
+    def state(self, particles):
+        return sir.FilterState(
+            set=ParticleSet.uniform(np.array(particles, dtype=float)),
+            model=MODELS["rw1d"](4.0),
+            policy=ResamplePolicy("systematic", 0.5),
+            rng=RngStream(0),
+        )
+
+    @pytest.mark.parametrize(
+        "noise", [[np.inf, 0.0], [0.0, -np.inf], [np.inf, -np.inf], [np.nan, 0.0], [1e308, 0.0]]
+    )
+    def test_non_finite_particles_raise(self, noise):
+        # 1e308 + 1e308 overflows to inf inside propagate
+        state = self.state([[1e308], [0.0]])
+        before = state.set
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="particles must be finite"):
+                sir.step_with_injected_noise(state, 0.0, noise)
+        assert state.set is before
+
+    def test_finite_particles_whose_sum_overflows_pass(self):
+        state = self.state([[1e308], [1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = sir.step_with_injected_noise(state, 0.0, [0.0, 0.0])
+        # both squared residuals overflow, so the step collapses and resets
+        assert outcome.degenerate
+        assert np.array_equal(state.set.particles, [[1e308], [1e308]])
+        assert np.array_equal(outcome.estimate, [1e308])
 
 
 class TestNormalize:

@@ -281,6 +281,25 @@ class TestScenarioValidation:
             rw_scenario(**kwargs)
         assert info.value.name == name
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", np.float64(4.0)])
+    @pytest.mark.parametrize("kwarg, name", [("t", "t_steps"), ("n", "n_particles")])
+    def test_non_integer_horizon_and_count_rejected(self, bad, kwarg, name):
+        # numpy would otherwise fail inside run_scenario with a TypeError
+        with pytest.raises(ArgumentError) as info:
+            rw_scenario(**{kwarg: bad})
+        assert (info.value.name, info.value.rule) == (name, f"must be an integer, got {bad!r}")
+
+    def test_numpy_integer_horizon_and_count_accepted(self):
+        scenario = rw_scenario(t=np.int64(5), n=np.int32(20))
+        assert_same_run(run_scenario(scenario, 3), run_scenario(rw_scenario(t=5, n=20), 3))
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        # RngStream once truncated 1.5 to 1 and ran seed 1
+        with pytest.raises(ArgumentError) as info:
+            run_scenario(rw_scenario(t=3, n=5), seed)
+        assert (info.value.name, info.value.rule) == ("seed", f"must be an integer, got {seed!r}")
+
     def test_estimator_checked_at_construction(self):
         with pytest.raises(ArgumentError, match="^estimator must be one of"):
             Scenario(

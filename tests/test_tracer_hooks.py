@@ -1,12 +1,22 @@
-"""Every name the benchmark's layer tracer hooks must exist in smcfilter.
+"""Every name the benchmark's layer tracer hooks must exist in smcfilter, and
+the step must call through the ones that time its work.
 
 The tracer (bench/tracer.py) skips a hook whose target is missing and reports
 its layer as zero calls, so a refactor that renames a hooked function would
-otherwise go unnoticed. This test reads the hook table and changes nothing.
+otherwise go unnoticed. These tests read the hook table and change nothing.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from smcfilter import filter as sir
+from smcfilter.core import RngStream
+from smcfilter.models import ConstantVelocity2D, RandomWalk1D
+from smcfilter.resampling import ResamplePolicy
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -60,3 +70,30 @@ def test_retired_hooks_are_gone():
     for target, reason in RETIRED.items():
         assert target in hooked, f"{target} is no longer hooked; drop it from RETIRED"
         assert tracer._resolve(*target) is None, f"{target} resolves again ({reason})"
+
+
+@pytest.mark.parametrize(
+    "model, prior",
+    [
+        (RandomWalk1D(), sir.GaussianPrior([0.0], [2.0])),
+        (ConstantVelocity2D(), sir.GaussianPrior([0.0] * 4, [2.0] * 4)),
+    ],
+)
+def test_one_step_calls_each_timed_layer_once(monkeypatch, model, prior):
+    """The benchmark times the models.* and core.normalize layers through
+    these smcfilter.filter names, so one step must go through each of them
+    exactly once, whether or not it resamples."""
+    for threshold in (0.0, 1.0):
+        calls = Counter()
+        for name in ("propagate", "log_likelihood", "normalize_weights"):
+
+            def counted(*args, _name=name, _inner=getattr(sir, name)):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(sir, name, counted)
+        state = sir.init(model, prior, 50, RngStream(3), ResamplePolicy("systematic", threshold))
+        outcome = sir.step(state, np.ones(model.obs_dim))
+        monkeypatch.undo()
+        assert outcome.resampled == (threshold == 1.0)
+        assert calls == {"propagate": 1, "log_likelihood": 1, "normalize_weights": 1}
