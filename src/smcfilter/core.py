@@ -166,16 +166,25 @@ class ParticleSet:
         return cls(arr, np.full(n, -np.log(max(n, 1))), generation)
 
 
-def normalize_weights(log_weights) -> tuple[np.ndarray, float, float]:
-    """Normalize log-weights: (w, m, s) with m = max(lw), s = sum(exp(lw - m))
-    and the linear weights w = exp(lw - m) / s.
+def _ess(e: np.ndarray, s) -> float:
+    """ESS (sum e)^2 / sum(e^2) of weights proportional to e, whose sum is s
+    (Chopin & Papaspiliopoulos 2020). With max(e) = 1 it is exactly N for N
+    equal weights, which 1 / sum(w^2) of normalized weights can miss."""
+    return float(s * (s / np.vdot(e, e)))
+
+
+def normalize_weights(log_weights) -> tuple[np.ndarray, float, float, float]:
+    """Normalize log-weights: (w, m, s, ess) with m = max(lw),
+    s = sum(exp(lw - m)), the linear weights w = exp(lw - m) / s and their
+    effective sample size ess = s * (s / sum(exp(lw - m)^2)) (see _ess).
 
     The shift by m makes the largest term exp(0), so underflow can never zero
-    out the whole vector; w always sums to 1 up to float rounding. m + log(s)
-    is log(sum(exp(lw))). The normalized log-weights are (lw - m) - log(s),
-    subtracted in that order: for |m| beyond ~1e16, m + log(s) rounds to m
-    and lw - (m + log(s)) would no longer be normalized (Blanchard, Higham &
-    Higham 2021).
+    out the whole vector; w always sums to 1 up to float rounding. The ESS is
+    taken on the same shifted exponentials before the divide, so it is NaN
+    only if a log-weight is NaN or +inf. m + log(s) is log(sum(exp(lw))).
+    The normalized log-weights are (lw - m) - log(s), subtracted in that
+    order: for |m| beyond ~1e16, m + log(s) rounds to m and lw - (m + log(s))
+    would no longer be normalized (Blanchard, Higham & Higham 2021).
     """
     lw = np.asarray(log_weights, dtype=float)
     if lw.size < 1:
@@ -186,8 +195,9 @@ def normalize_weights(log_weights) -> tuple[np.ndarray, float, float]:
     w = lw - m
     np.exp(w, out=w)
     s = w.sum()
+    ess = _ess(w, s)
     w /= s
-    return w, m, s
+    return w, m, s, ess
 
 
 def weighted_mean(particle_set: ParticleSet) -> np.ndarray:

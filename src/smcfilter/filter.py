@@ -21,9 +21,7 @@ from .core import (
     ParticleSet,
     RngStream,
     check_arg,
-    map_estimate,
     normalize_weights,
-    weighted_mean,
 )
 from .models import DimensionMismatch, check_measurement
 # The step runs the unchecked kernels on arrays it built itself. They are
@@ -34,8 +32,8 @@ from .models import DimensionMismatch, check_measurement
 from .models import _log_likelihood as log_likelihood
 from .models import _propagate as propagate
 from .resampling import (
+    NotNormalized,
     ResamplePolicy,
-    _ess,
     multinomial_resample,
     should_resample,
     systematic_resample,
@@ -83,22 +81,18 @@ class FilterState:
 class StepOutcome:
     """Result of one measurement update.
 
-    ``ess`` is the diagnostic value computed on the normalized weights
-    before any resampling (the value the resample decision used).
+    ``ess`` is the effective sample size of the step's weights before any
+    resampling, the value the resample decision used; normalize_weights
+    takes it with the weights, and it is exactly N for equal weights.
     ``degenerate`` flags a total weight collapse that was recovered by a
-    uniform reset.
+    uniform reset, whose ESS is N. ``estimate`` is computed from the weights
+    the step ends with.
     """
 
     estimate: np.ndarray
     ess: float
     resampled: bool
     degenerate: bool
-
-
-def _estimate(state: FilterState) -> np.ndarray:
-    if state.estimator == "map":
-        return map_estimate(state.set)
-    return weighted_mean(state.set)
 
 
 def check_settings(model, prior: GaussianPrior, n_particles: int, estimator: str) -> None:
@@ -160,13 +154,15 @@ def _advance(state: FilterState, z, predicted: np.ndarray) -> StepOutcome:
     log_w += pset.log_weights
     degenerate = False
     try:
-        weights, m, s = normalize_weights(log_w)
+        weights, m, s, ess = normalize_weights(log_w)
     except AllWeightsCollapsed:
         # Recover instead of aborting: reset to uniform and flag the event.
+        # Uniform weights have ESS = N, so the reset never resamples.
         degenerate = True
-        weights = np.full(n, 1.0 / n)
+        ess = float(n)
+    if ess != ess:
+        raise NotNormalized("weights are NaN: a log-weight is NaN or +inf")
 
-    ess = _ess(weights)
     resampled = should_resample(state.policy, ess, n)
     if resampled:
         if state.policy.scheme == "systematic":
@@ -179,17 +175,19 @@ def _advance(state: FilterState, z, predicted: np.ndarray) -> StepOutcome:
     # in that order (see normalize_weights).
     if resampled or degenerate:
         log_w = np.full(n, -np.log(n))
+        weights = np.full(n, 1.0 / n)
     else:
         log_w -= m
         log_w -= np.log(s)
 
+    # The estimate comes from the weights the step ends with; ties in the
+    # MAP go to the lowest index, so a reset picks particle 0.
+    if state.estimator == "map":
+        estimate = predicted[int(np.argmax(log_w))].copy()
+    else:
+        estimate = weights @ predicted
     state.set = ParticleSet._trusted(predicted, log_w, pset.generation + 1)
-    return StepOutcome(
-        estimate=_estimate(state),
-        ess=ess,
-        resampled=resampled,
-        degenerate=degenerate,
-    )
+    return StepOutcome(estimate=estimate, ess=ess, resampled=resampled, degenerate=degenerate)
 
 
 def _check_entry(state: FilterState, z) -> np.ndarray:

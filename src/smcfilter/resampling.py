@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArgumentError, RngStream, check_arg
+from .core import ArgumentError, RngStream, _ess, check_arg
 
 SCHEMES = ("systematic", "multinomial")
 
@@ -42,12 +42,6 @@ def _require_sum(total) -> None:
         raise NotNormalized(f"weights sum to {total!r}, expected 1")
 
 
-def _checked(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    _require_sum(w.sum())
-    return w
-
-
 def _checked_cumsum(weights) -> np.ndarray:
     """The weights' cumulative sum, its last entry pinned to exactly 1 so a
     rounding shortfall cannot walk past the last index. The sum check reads
@@ -58,19 +52,14 @@ def _checked_cumsum(weights) -> np.ndarray:
     return cumsum
 
 
-def _ess(w: np.ndarray) -> float:
-    """effective_sample_size without the sum check, for weights a normalizer
-    has just built. Those sum to 1 up to rounding unless they hold a NaN,
-    which makes the ESS NaN; that case raises the same NotNormalized."""
-    ess = float(1.0 / (w * w).sum())
-    if ess != ess:
-        _checked(w)
-    return ess
-
-
 def effective_sample_size(weights) -> float:
-    """N_eff = 1 / sum(w^2); N for uniform weights, 1 for a one-hot vector."""
-    return _ess(_checked(weights))
+    """N_eff = 1 / sum(w^2) for weights that sum to 1, taken as
+    (sum e)^2 / sum(e^2) on e = w / max(w) (see core._ess): exactly N for N
+    equal weights, 1 for a one-hot vector."""
+    w = np.asarray(weights, dtype=float)
+    _require_sum(w.sum())
+    e = w / w.max()
+    return _ess(e, e.sum())
 
 
 def systematic_resample(weights, u: float) -> np.ndarray:

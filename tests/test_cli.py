@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smcfilter import cli
-from smcfilter.cli import ConfigError, build_scenario, load_config, parse_config
+from smcfilter.cli import ConfigError, load_config, parse_config
 from smcfilter.models import ConstantVelocity2D, RandomWalk1D
 from smcfilter.resampling import ResamplePolicy
 from smcfilter.sim import Trace, run_scenario
@@ -485,7 +485,7 @@ class TestReadmeExamples:
     def test_run_config_block_parses(self):
         data = json.loads(_readme_block("### Run config (JSON)"))
         cfg = parse_config(data)
-        scenario = build_scenario(cfg)
+        scenario = cfg.scenario
         assert (scenario.t_steps, scenario.n_particles) == (data["T"], data["N"])
         assert (cfg.seed, cfg.dump_particles) == (data["seed"], data["dump_particles"])
 

@@ -47,16 +47,18 @@ def kept_log_weights(log_weights):
 class TestNormalizeWeights:
     def test_worked_example(self):
         log_w = np.log(0.2 * GOLDEN_FACTORS)
-        out, m, s = normalize_weights(log_w)
+        out, m, s, ess = normalize_weights(log_w)
         assert m == log_w.max()
         assert s == np.exp(log_w - m).sum()
+        assert ess == pytest.approx(1.0 / np.sum(out**2), rel=1e-14)
         np.testing.assert_allclose(out, GOLDEN_WEIGHTS, atol=0.005)
         # independent oracle: direct linear normalization of the factors
         np.testing.assert_allclose(out, GOLDEN_FACTORS / GOLDEN_FACTORS.sum(), atol=1e-12)
 
     def test_uniform(self):
-        out, _, _ = normalize_weights(np.full(5, -3.7))
+        out, _, _, ess = normalize_weights(np.full(5, -3.7))
         np.testing.assert_allclose(out, np.full(5, 0.2), atol=1e-12)
+        assert ess == 5
 
     def test_shift_invariance_example(self):
         lw = np.array([-1.0, 0.0, 2.5])
@@ -73,13 +75,14 @@ class TestNormalizeWeights:
 
     @given(log_weight_lists)
     def test_probability_vector(self, lw):
-        out, _, _ = normalize_weights(np.array(lw))
+        out, _, _, _ = normalize_weights(np.array(lw))
         assert np.all(out >= 0)
         assert abs(out.sum() - 1.0) < 1e-9
 
     def test_minus_inf_entries_get_zero_weight(self):
-        out, _, _ = normalize_weights(np.array([0.0, -np.inf, 0.0]))
+        out, _, _, ess = normalize_weights(np.array([0.0, -np.inf, 0.0]))
         np.testing.assert_allclose(out, [0.5, 0.0, 0.5], atol=1e-12)
+        assert ess == 2
 
     def test_all_collapsed_raises(self):
         with pytest.raises(AllWeightsCollapsed):
@@ -90,7 +93,7 @@ class TestNormalizeWeights:
             normalize_weights(np.array([]))
 
     def test_extreme_magnitudes_do_not_underflow(self):
-        out, _, _ = normalize_weights(np.array([-2000.0, -2001.0]))
+        out, _, _, _ = normalize_weights(np.array([-2000.0, -2001.0]))
         assert abs(out.sum() - 1.0) < 1e-9
         assert out[0] > out[1] > 0
 

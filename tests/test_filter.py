@@ -18,7 +18,12 @@ from smcfilter.models import (
     NonFiniteMeasurement,
     RandomWalk1D,
 )
-from smcfilter.resampling import ResamplePolicy, effective_sample_size, systematic_resample
+from smcfilter.resampling import (
+    NotNormalized,
+    ResamplePolicy,
+    effective_sample_size,
+    systematic_resample,
+)
 
 RW = RandomWalk1D(q=1.0, r=4.0)
 
@@ -370,3 +375,54 @@ class TestStep:
             if outcome.ess < 0.1 * 500:
                 low_count += 1
         assert low_count >= 9
+
+
+class TestThresholdOne:
+    """Threshold 1 fires whenever ESS < N, strictly, so exactly uniform
+    weights and the uniform reset after a collapse must never resample."""
+
+    def test_uniform_weights_give_exactly_n(self):
+        for n in range(1, 4097):
+            assert effective_sample_size(np.full(n, 1.0 / n)) == n
+
+    @pytest.mark.parametrize("scheme", ["systematic", "multinomial"])
+    @pytest.mark.parametrize(
+        "model",
+        [RandomWalk1D(q=0.0, r=4.0), ConstantVelocity2D(q_pos=0.0, q_vel=0.0, r_meas=2.0)],
+        ids=["rw1d", "cv2d"],
+    )
+    def test_identical_particles_never_resample(self, model, scheme):
+        n_dim = model.state_dim
+        prior = GaussianPrior([0.5] * n_dim, [0.0] * n_dim)
+        for n in range(1, 65):
+            state = init(model, prior, n, RngStream(3), ResamplePolicy(scheme, 1.0))
+            outcome = step(state, np.full(model.obs_dim, 0.8))
+            assert outcome.ess == n
+            assert not outcome.resampled and not outcome.degenerate
+            # init and the step drew 2 N n normals and no uniform
+            reference = RngStream(3)
+            reference.standard_normal(2 * n * n_dim)
+            assert state.rng.uniform() == reference.uniform()
+
+    @pytest.mark.parametrize("scheme", ["systematic", "multinomial"])
+    def test_collapse_does_not_resample(self, scheme):
+        state = init(RW, GaussianPrior([0.0], [2.0]), 5, RngStream(4), ResamplePolicy(scheme, 1.0))
+        outcome = step(state, 1e200)
+        assert outcome.degenerate and not outcome.resampled
+        assert outcome.ess == 5
+        reference = RngStream(4)
+        reference.standard_normal(10)
+        assert state.rng.uniform() == reference.uniform()
+
+
+def test_nan_log_weight_raises_and_keeps_the_set():
+    state = make_state([0.0, 1.0, 2.0])
+    state.set = ParticleSet(np.array([0.0, 1.0, 2.0]), np.array([np.log(0.5), np.nan, np.log(0.5)]))
+    before = state.set
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotNormalized):
+            step(state, [0.5])
+    assert state.set is before
+    assert np.array_equal(before.particles, [[0.0], [1.0], [2.0]])
+    assert np.array_equal(before.log_weights, [np.log(0.5), np.nan, np.log(0.5)], equal_nan=True)

@@ -25,8 +25,17 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # from the table.
 RETIRED = {
     ("smcfilter.filter", "effective_sample_size"): (
-        "the step takes its ESS from resampling._ess, which skips the public "
-        "sum check; its cost now shows in filter.step self time"
+        "normalize_weights returns the ESS with the weights, from the same "
+        "shifted exponentials; its cost now shows in core.normalize"
+    ),
+    ("smcfilter.filter", "weighted_mean"): (
+        "the step takes its estimate from the weights it holds, weights @ "
+        "predicted, with no second exp pass; its cost shows in filter.step "
+        "self time"
+    ),
+    ("smcfilter.filter", "map_estimate"): (
+        "the step takes its MAP estimate as the particle at the argmax of "
+        "the log-weights it holds; its cost shows in filter.step self time"
     ),
     ("smcfilter.filter", "normalized_log_weights"): (
         "normalize_weights returns the shift m and the sum s, and a step that "
