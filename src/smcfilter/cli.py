@@ -81,12 +81,6 @@ def _number(value, path: str) -> float:
         _fail(path, f"must be finite, got {value}")
 
 
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"must be an integer, got {value!r}")
-    return value
-
-
 def _float_list(value, path: str, length: int | None = None) -> list:
     """value as a list of numbers, of ``length`` numbers unless that is None."""
     if not isinstance(value, list):
@@ -141,11 +135,11 @@ def parse_config(data: dict) -> RunConfig:
     try:
         scenario = Scenario(
             model=model_cls(**{arg: _number(block[key], f"model.{key}") for key, arg in keys.items()}),
-            t_steps=_integer(data["T"], "T"),
+            t_steps=data["T"],
             prior=GaussianPrior(_float_list(prior["mean"], "prior.mean", dim),
                                 _float_list(prior["std"], "prior.std", dim)),
             initial_truth=_float_list(data["initial_truth"], "initial_truth", dim),
-            n_particles=_integer(data["N"], "N"),
+            n_particles=data["N"],
             policy=ResamplePolicy(
                 data.get("resampler", policy.scheme),
                 _number(data.get("threshold_fraction", policy.threshold_fraction), "threshold_fraction"),
@@ -154,7 +148,7 @@ def parse_config(data: dict) -> RunConfig:
         )
         seed = data.get("seed")
         if seed is not None:
-            RngStream(_integer(seed, "seed"))
+            RngStream(seed)
     except ArgumentError as exc:
         fields = dict(_FIELDS, **{arg: f"model.{key}" for key, arg in keys.items()})
         path = fields.get(exc.name, exc.name)

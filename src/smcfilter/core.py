@@ -108,14 +108,13 @@ class ParticleSet:
     """N state hypotheses with aligned log-weights; the empirical posterior.
 
     ``particles`` has shape (N, n); a 1-D input of length N is treated as N
-    scalar states. ``generation`` counts completed filter steps. Linear
-    weights are exact once the log-weights are normalized (the maintained
-    state between filter steps).
+    scalar states. Log-weights may be -inf (weight 0) but not NaN or +inf.
+    Linear weights are exact once the log-weights are normalized (the
+    maintained state between filter steps).
     """
 
     particles: np.ndarray
     log_weights: np.ndarray
-    generation: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.particles, dtype=float)
@@ -130,6 +129,8 @@ class ParticleSet:
             raise ValueError(
                 f"log_weights shape {lw.shape} does not match {arr.shape[0]} particles"
             )
+        if not (lw < np.inf).all():
+            raise ValueError("log_weights must not be NaN or +inf")
         self.particles = arr
         self.log_weights = lw
 
@@ -147,23 +148,22 @@ class ParticleSet:
         return np.exp(self.log_weights)
 
     @classmethod
-    def _trusted(cls, particles: np.ndarray, log_weights: np.ndarray, generation: int):
+    def _trusted(cls, particles: np.ndarray, log_weights: np.ndarray):
         """Build a set without validation, from arrays the caller has built
-        in the required form: (N, n) finite particles, (N,) log-weights."""
+        in the required form: (N, n) finite particles, (N,) log-weights < +inf."""
         pset = cls.__new__(cls)
         pset.particles = particles
         pset.log_weights = log_weights
-        pset.generation = generation
         return pset
 
     @classmethod
-    def uniform(cls, particles, generation: int = 0) -> "ParticleSet":
+    def uniform(cls, particles) -> "ParticleSet":
         """Build a set with equal weights 1/N."""
         arr = np.asarray(particles, dtype=float)
         # a scalar or empty input meets the constructor's check, not an
         # IndexError or log(0)'s warning
         n = arr.shape[0] if arr.ndim else 0
-        return cls(arr, np.full(n, -np.log(max(n, 1))), generation)
+        return cls(arr, np.full(n, -np.log(max(n, 1))))
 
 
 def _ess(e: np.ndarray, s) -> float:

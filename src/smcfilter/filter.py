@@ -95,12 +95,16 @@ class StepOutcome:
     degenerate: bool
 
 
+def _check_estimator(estimator) -> None:
+    if estimator not in ESTIMATORS:
+        raise ArgumentError("estimator", f"must be one of {ESTIMATORS}, got {estimator!r}")
+
+
 def check_settings(model, prior: GaussianPrior, n_particles: int, estimator: str) -> None:
     """init's rules for the particle count, the estimator and the prior's
     dimension; Scenario applies them at construction."""
     check_arg("n_particles", n_particles, low=1, integer=True)
-    if estimator not in ESTIMATORS:
-        raise ArgumentError("estimator", f"must be one of {ESTIMATORS}, got {estimator!r}")
+    _check_estimator(estimator)
     if prior.dim != model.state_dim:
         raise DimensionMismatch(
             f"prior has dimension {prior.dim}, model expects {model.state_dim}"
@@ -186,14 +190,15 @@ def _advance(state: FilterState, z, predicted: np.ndarray) -> StepOutcome:
         estimate = predicted[int(np.argmax(log_w))].copy()
     else:
         estimate = weights @ predicted
-    state.set = ParticleSet._trusted(predicted, log_w, pset.generation + 1)
+    state.set = ParticleSet._trusted(predicted, log_w)
     return StepOutcome(estimate=estimate, ess=ess, resampled=resampled, degenerate=degenerate)
 
 
 def _check_entry(state: FilterState, z) -> np.ndarray:
-    """z through check_measurement, once the set's state length is checked
-    against the model's (DimensionMismatch otherwise). Both checks run
-    before anything is drawn."""
+    """z through check_measurement, once the estimator is checked
+    (ArgumentError otherwise) and the set's state length against the
+    model's (DimensionMismatch otherwise), all before anything is drawn."""
+    _check_estimator(state.estimator)
     model = state.model
     if state.set.dim != model.state_dim:
         raise DimensionMismatch(
@@ -205,13 +210,14 @@ def _check_entry(state: FilterState, z) -> np.ndarray:
 def step(state: FilterState, z) -> StepOutcome:
     """Advance the filter by one measurement.
 
-    The particle length and the measurement are checked first: a set that
-    does not fit the model, a wrong measurement shape or a non-finite
-    component raises before anything is drawn, leaving the set and the
-    stream untouched. Stream consumption order: one process-noise vector per
-    particle in index order (N*n normal draws), then, only if resampling
-    fires, one uniform offset (systematic) or N uniform draws (multinomial).
-    The estimate is computed after any resampling.
+    The estimator, the particle length and the measurement are checked
+    first: an unknown estimator, a set that does not fit the model, a wrong
+    measurement shape or a non-finite component raises before anything is
+    drawn, leaving the set and the stream untouched. Stream consumption
+    order: one process-noise vector per particle in index order (N*n normal
+    draws), then, only if resampling fires, one uniform offset (systematic)
+    or N uniform draws (multinomial). The estimate is computed after any
+    resampling.
     """
     model = state.model
     z = _check_entry(state, z)

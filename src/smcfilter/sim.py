@@ -16,7 +16,7 @@ import numpy as np
 from . import filter as sir
 from .core import ArgumentError, RngStream, check_arg, is_integer, weighted_mean
 from .filter import FilterState, GaussianPrior
-from .models import DimensionMismatch, predict_measurement, propagate
+from .models import DimensionMismatch, propagate
 from .resampling import ResamplePolicy, effective_sample_size
 
 
@@ -137,7 +137,7 @@ def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
         noise = rng.standard_normal(scale.size)
         noise *= scale
         truth = propagate(model, truth, noise[:n])
-        z = predict_measurement(model, truth) + noise[n:]
+        z = model.h(truth) + noise[n:]
         outcome = sir.step(state, z)
         trace.truth[k] = truth
         trace.measurement[k] = z

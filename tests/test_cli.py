@@ -121,10 +121,12 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key", ["T", "N", "seed"])
     def test_non_integer_count_keeps_the_boundary_message(self, key):
-        # the library rejects a non-integer too; the config's check comes first
-        with pytest.raises(ConfigError) as info:
-            parse_config(sample_config(**{key: 2.5}))
-        assert str(info.value) == f"{key}: must be an integer, got 2.5"
+        # the library's integer rule is the only one; its error comes back
+        # under the config's field path. A null seed is a config without one.
+        for value in (2.5, "5", True, None, [5]) if key != "seed" else (2.5, "5", True, [5]):
+            with pytest.raises(ConfigError) as info:
+                parse_config(json.loads(json.dumps(sample_config(**{key: value}))))
+            assert str(info.value) == f"{key}: must be an integer, got {value!r}"
 
     def test_missing_required_field(self):
         data = sample_config()

@@ -253,6 +253,15 @@ class TestParticleSet:
         with pytest.raises(ValueError):
             ParticleSet(np.zeros((0, 2)), np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nan_and_plus_inf_log_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="log_weights must not be NaN or \\+inf"):
+            ParticleSet(np.zeros(3), np.array([bad, 0.0, 0.0]))
+
+    def test_minus_inf_log_weight_accepted(self):
+        pset = ParticleSet(np.zeros(3), np.array([-np.inf, 0.0, 0.0]))
+        assert np.array_equal(pset.weights, [0.0, 1.0, 1.0])
+
     def test_uniform_empty_rejected_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

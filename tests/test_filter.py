@@ -142,12 +142,6 @@ class TestGoldenSteps:
         )
         np.testing.assert_allclose(state.set.weights, GOLDEN_K2["weights"], atol=0.01)
 
-    def test_generation_counter_advances(self):
-        state = make_state(GOLDEN_K1["initial"])
-        assert state.set.generation == 0
-        step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
-        assert state.set.generation == 1
-
 
 class TestStep:
     def test_single_frozen_particle_never_moves(self):
@@ -273,7 +267,6 @@ class TestStep:
         assert state.set is before
         assert np.array_equal(before.particles, particles)
         assert np.array_equal(before.log_weights, log_weights)
-        assert before.generation == 0
 
     def test_cv2d_propagate_overflow_raises_value_error(self):
         # px + vx * dt passes the largest double inside the model's matmul
@@ -288,7 +281,6 @@ class TestStep:
         assert state.set is before
         assert np.array_equal(before.particles, particles)
         assert np.array_equal(before.log_weights, log_weights)
-        assert before.generation == 0
 
     def test_measurement_beyond_every_particle_collapses_with_flag(self):
         # every squared residual overflows: all weights are exactly 0
@@ -416,8 +408,11 @@ class TestThresholdOne:
 
 
 def test_nan_log_weight_raises_and_keeps_the_set():
+    # ParticleSet rejects a NaN log-weight when built, so only a write into a
+    # valid set's array reaches the step's NaN guard
     state = make_state([0.0, 1.0, 2.0])
-    state.set = ParticleSet(np.array([0.0, 1.0, 2.0]), np.array([np.log(0.5), np.nan, np.log(0.5)]))
+    state.set = ParticleSet(np.array([0.0, 1.0, 2.0]), np.log([0.5, 0.5, 0.5]))
+    state.set.log_weights[1] = np.nan
     before = state.set
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -426,3 +421,38 @@ def test_nan_log_weight_raises_and_keeps_the_set():
     assert state.set is before
     assert np.array_equal(before.particles, [[0.0], [1.0], [2.0]])
     assert np.array_equal(before.log_weights, [np.log(0.5), np.nan, np.log(0.5)], equal_nan=True)
+
+
+def _initialized_then_mistyped():
+    state = init(RW, GaussianPrior([0.0], [2.0]), 3, RngStream(0))
+    state.estimator = "median"
+    return state
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FilterState(
+            set=ParticleSet.uniform(np.array([0.0, 1.0, 5.0])),
+            model=RW,
+            policy=ResamplePolicy(),
+            rng=RngStream(0),
+            estimator="mapp",
+        ),
+        _initialized_then_mistyped,
+    ],
+    ids=["constructed", "assigned"],
+)
+def test_unknown_estimator_raises_before_any_draw(build):
+    # an unknown estimator must not fall through to the weighted mean
+    for advance in (step, lambda state, z: step_with_injected_noise(state, z, np.zeros(3))):
+        state = build()
+        before = state.set
+        particles, log_weights = before.particles.copy(), before.log_weights.copy()
+        with pytest.raises(ArgumentError, match="^estimator must be one of"):
+            advance(state, 5.0)
+        assert state.set is before
+        assert np.array_equal(before.particles, particles)
+        assert np.array_equal(before.log_weights, log_weights)
+        # a fresh build's stream stands where the failed step found it
+        assert state.rng.uniform() == build().rng.uniform()

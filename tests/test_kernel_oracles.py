@@ -386,7 +386,6 @@ def assert_step_matches_oracle(model, x, log_w, z, seed, policy, estimator="weig
     assert outcome.ess == ess
     assert np.array_equal(outcome.estimate, estimate)
     assert (outcome.resampled, outcome.degenerate) == (resampled, degenerate)
-    assert state.set.generation == 1
     # both consumed the same number of draws
     assert state.rng.uniform() == oracle_state.rng.uniform()
     return outcome

@@ -42,6 +42,11 @@ RETIRED = {
         "keeps its weights normalizes its own log-weights in place with them; "
         "core.normalize still sees one normalize_weights call per step"
     ),
+    ("smcfilter.sim", "predict_measurement"): (
+        "run_scenario reads the sensor as model.h(truth) on the truth it "
+        "built itself, with no state check or copy; its cost shows in "
+        "sim.run_scenario self time"
+    ),
     ("smcfilter.sim", "sample_process_noise"): (
         "run_scenario draws a step's truth and sensor noise in one "
         "standard_normal(n + o) call and scales it by process_std and meas_std"
