@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ArgumentError, ParticleSet, RngStream, check_arg
-from .filter import FilterState, GaussianPrior, step_with_injected_noise
+from .filter import FilterState, GaussianPrior, step
 from .models import ConstantVelocity2D, RandomWalk1D
 from .resampling import ResamplePolicy
 from .sim import Scenario, Trace, check_dump_steps, rmse, run_scenario
@@ -337,7 +337,7 @@ def cmd_golden(fixture_arg: str) -> int:
             policy=ResamplePolicy("systematic", 0.0),
             rng=RngStream(0),
         )
-        step_with_injected_noise(state, z, noises)
+        step(state, z, noises)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,14 +34,24 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy int or float or a 0-d array of one; bool is none."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 0 and value.dtype.kind in "iuf"
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_arg(name: str, value, low=None, high=None, strict=False, integer=False,
-              error=ArgumentError):
+              scalar=False, error=ArgumentError):
     """``value`` as a float array. Raise ``error`` for argument ``name``
     unless every element is finite and lies in [low, high], with low itself
     excluded when ``strict``; a bound of None is open. With ``integer``,
-    ``value`` must also be a single integer (see is_integer)."""
+    ``value`` must also be a single integer (see is_integer), with
+    ``scalar`` a single real number (see is_real)."""
     if integer and not is_integer(value):
         raise error(name, f"must be an integer, got {value!r}")
+    if scalar and not is_real(value):
+        raise error(name, f"must be a real number, got {value!r}")
     bound = None
     if high is not None:
         bound = f"must be in [{low:g}, {high:g}]"
@@ -200,16 +210,13 @@ def normalize_weights(log_weights) -> tuple[np.ndarray, float, float, float]:
     return w, m, s, ess
 
 
-def weighted_mean(particle_set: ParticleSet) -> np.ndarray:
-    """Posterior-mean point estimate, sum_i w_i * x_i componentwise.
-
-    Expects normalized weights.
-    """
-    w = particle_set.weights
-    return w @ particle_set.particles
+def weighted_mean(particles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Posterior-mean point estimate, sum_i w_i * x_i componentwise, of
+    (N, n) particles under N normalized linear weights."""
+    return weights @ particles
 
 
-def map_estimate(particle_set: ParticleSet) -> np.ndarray:
-    """Particle with the largest weight; ties go to the lowest index."""
-    idx = int(np.argmax(particle_set.log_weights))
-    return particle_set.particles[idx].copy()
+def map_estimate(particles: np.ndarray, log_weights: np.ndarray) -> np.ndarray:
+    """The particle with the largest log-weight, as a copy; ties go to the
+    lowest index."""
+    return particles[int(np.argmax(log_weights))].copy()

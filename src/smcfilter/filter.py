@@ -21,7 +21,9 @@ from .core import (
     ParticleSet,
     RngStream,
     check_arg,
+    map_estimate,
     normalize_weights,
+    weighted_mean,
 )
 from .models import DimensionMismatch, check_measurement
 # The step runs the unchecked kernels on arrays it built itself. They are
@@ -56,6 +58,9 @@ class GaussianPrior:
     def __post_init__(self):
         self.mean = np.atleast_1d(check_arg("mean", self.mean, error=InvalidPrior))
         self.std = np.atleast_1d(check_arg("std", self.std, low=0.0, error=InvalidPrior))
+        for name, arr in (("mean", self.mean), ("std", self.std)):
+            if arr.ndim > 1:
+                raise InvalidPrior(name, f"must have one dimension, got shape {arr.shape}")
         if self.mean.shape != self.std.shape:
             raise InvalidPrior(
                 "std", f"has shape {self.std.shape}, mean has shape {self.mean.shape}"
@@ -136,21 +141,51 @@ def init(
     )
 
 
-def _advance(state: FilterState, z, predicted: np.ndarray) -> StepOutcome:
-    """Weight, resample and estimate from the propagated particles.
+def step(state: FilterState, z, noises=None) -> StepOutcome:
+    """Advance the filter by one measurement.
 
-    ``z`` has passed check_measurement. Every other array here is built by
-    the step itself, so beyond one overflow guard nothing is re-validated.
+    The estimator, the particle length and the measurement are checked
+    first: an unknown estimator, a set that does not fit the model, a wrong
+    measurement shape or a non-finite component raises before anything is
+    drawn, leaving the set and the stream untouched. Stream consumption
+    order: one process-noise vector per particle in index order (N*n normal
+    draws), then, only if resampling fires, one uniform offset (systematic)
+    or N uniform draws (multinomial). The estimate is computed after any
+    resampling. Caller ``noises``, one process noise per particle, replace
+    the normal draws to replay worked fixtures; resampling still draws.
     """
+    _check_estimator(state.estimator)
+    model = state.model
+    pset = state.set
+    n = pset.n_particles
+    if pset.dim != model.state_dim:
+        raise DimensionMismatch(
+            f"particles have length {pset.dim}, model expects {model.state_dim}"
+        )
+    z = check_measurement(model, z)
+    if noises is None:
+        noises = state.rng.standard_normal((n, pset.dim))
+        noises *= model.process_std
+        predicted = propagate(model, pset.particles, noises)
+    else:
+        noises = np.asarray(noises, dtype=float)
+        if noises.ndim == 1:
+            noises = noises[:, np.newaxis]
+        if noises.shape != pset.particles.shape:
+            raise DimensionMismatch(f"noises shape {noises.shape}, expected {pset.particles.shape}")
+        # Caller noise can be large enough for f(x) + noise to overflow;
+        # drawn noise cannot (sqrt(Q) times a normal draw stays far below
+        # half an ulp of the largest double). The inf it leaves is rejected
+        # by the finite guard below.
+        with np.errstate(over="ignore"):
+            predicted = propagate(model, pset.particles, noises)
+
     # A sum of squares is finite only if every particle is. np.vdot takes it
     # in one pass with no temporary and, unlike a numpy sum, warns of no
     # overflow. When it is not finite, because a particle is not or because
     # the squares overflow, the exact test decides.
     if not math.isfinite(np.vdot(predicted, predicted)) and not np.isfinite(predicted).all():
         raise ValueError("particles must be finite")
-    model = state.model
-    pset = state.set
-    n = pset.n_particles
 
     # Weight update in the log domain. The update adds into the likelihood's
     # fresh array instead of allocating another.
@@ -187,66 +222,8 @@ def _advance(state: FilterState, z, predicted: np.ndarray) -> StepOutcome:
     # The estimate comes from the weights the step ends with; ties in the
     # MAP go to the lowest index, so a reset picks particle 0.
     if state.estimator == "map":
-        estimate = predicted[int(np.argmax(log_w))].copy()
+        estimate = map_estimate(predicted, log_w)
     else:
-        estimate = weights @ predicted
+        estimate = weighted_mean(predicted, weights)
     state.set = ParticleSet._trusted(predicted, log_w)
     return StepOutcome(estimate=estimate, ess=ess, resampled=resampled, degenerate=degenerate)
-
-
-def _check_entry(state: FilterState, z) -> np.ndarray:
-    """z through check_measurement, once the estimator is checked
-    (ArgumentError otherwise) and the set's state length against the
-    model's (DimensionMismatch otherwise), all before anything is drawn."""
-    _check_estimator(state.estimator)
-    model = state.model
-    if state.set.dim != model.state_dim:
-        raise DimensionMismatch(
-            f"particles have length {state.set.dim}, model expects {model.state_dim}"
-        )
-    return check_measurement(model, z)
-
-
-def step(state: FilterState, z) -> StepOutcome:
-    """Advance the filter by one measurement.
-
-    The estimator, the particle length and the measurement are checked
-    first: an unknown estimator, a set that does not fit the model, a wrong
-    measurement shape or a non-finite component raises before anything is
-    drawn, leaving the set and the stream untouched. Stream consumption
-    order: one process-noise vector per particle in index order (N*n normal
-    draws), then, only if resampling fires, one uniform offset (systematic)
-    or N uniform draws (multinomial). The estimate is computed after any
-    resampling.
-    """
-    model = state.model
-    z = _check_entry(state, z)
-    pset = state.set
-    noises = state.rng.standard_normal((pset.n_particles, pset.dim))
-    noises *= model.process_std
-    predicted = propagate(model, pset.particles, noises)
-    return _advance(state, z, predicted)
-
-
-def step_with_injected_noise(state: FilterState, z, noises) -> StepOutcome:
-    """Like step, but with caller-supplied process noises (one per particle).
-
-    Test seam for replaying worked numerical fixtures: bypasses the
-    RngStream for the prediction draws only. The resample draws, if
-    resampling fires, still come from the stream.
-    """
-    model = state.model
-    z = _check_entry(state, z)
-    noises = np.asarray(noises, dtype=float)
-    if noises.ndim == 1:
-        noises = noises[:, np.newaxis]
-    expected = (state.set.n_particles, state.set.dim)
-    if noises.shape != expected:
-        raise DimensionMismatch(f"noises shape {noises.shape}, expected {expected}")
-    # Caller noise can be large enough for f(x) + noise to overflow; drawn
-    # noise cannot (sqrt(Q) times a normal draw stays far below half an ulp
-    # of the largest double), so only this seam silences overflow in
-    # propagate. The inf it leaves is rejected by _advance's finite guard.
-    with np.errstate(over="ignore"):
-        predicted = propagate(model, state.set.particles, noises)
-    return _advance(state, z, predicted)

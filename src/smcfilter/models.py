@@ -94,8 +94,8 @@ class RandomWalk1D(StateSpaceModel):
     obs_labels = ("x",)
 
     def __post_init__(self):
-        check_arg("q", self.q, low=0.0)
-        check_arg("r", self.r, low=0.0, strict=True)
+        check_arg("q", self.q, low=0.0, scalar=True)
+        check_arg("r", self.r, low=0.0, strict=True, scalar=True)
 
     @cached_property
     def process_var(self) -> np.ndarray:
@@ -136,8 +136,8 @@ class ConstantVelocity2D(StateSpaceModel):
 
     def __post_init__(self):
         for name in ("dt", "q_pos", "q_vel"):
-            check_arg(name, getattr(self, name), low=0.0)
-        check_arg("r_meas", self.r_meas, low=0.0, strict=True)
+            check_arg(name, getattr(self, name), low=0.0, scalar=True)
+        check_arg("r_meas", self.r_meas, low=0.0, strict=True, scalar=True)
 
     @cached_property
     def _transition_t(self) -> np.ndarray:
@@ -215,8 +215,11 @@ def predict_measurement(model, x) -> np.ndarray:
 
 def check_measurement(model, z) -> np.ndarray:
     """z as a float (o,) array; raises DimensionMismatch for a wrong shape and
-    NonFiniteMeasurement for a NaN or infinite component."""
-    z = np.asarray(z, dtype=float)
+    NonFiniteMeasurement for a NaN, infinite or beyond-float-range component."""
+    try:
+        z = np.asarray(z, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise NonFiniteMeasurement(f"measurement must be finite, got {z}") from None
     if z.ndim == 0:
         z = z[np.newaxis]
     if z.shape != (model.obs_dim,):

@@ -33,7 +33,7 @@ class ResamplePolicy:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ArgumentError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
-        check_arg("threshold_fraction", self.threshold_fraction, low=0.0, high=1.0)
+        check_arg("threshold_fraction", self.threshold_fraction, low=0.0, high=1.0, scalar=True)
 
 
 def _require_sum(total) -> None:

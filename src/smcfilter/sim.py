@@ -125,7 +125,7 @@ def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
     truth = scenario.initial_truth
     trace.truth[0] = truth
     trace.measurement[0] = np.nan
-    trace.estimate[0] = weighted_mean(state.set)
+    trace.estimate[0] = weighted_mean(state.set.particles, state.set.weights)
     trace.ess[0] = effective_sample_size(state.set.weights)
     if 0 in dump_steps:
         trace.snapshots[0] = _snapshot(state)

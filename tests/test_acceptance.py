@@ -13,7 +13,7 @@ import pytest
 
 from smcfilter import cli
 from smcfilter.core import ParticleSet, RngStream
-from smcfilter.filter import FilterState, GaussianPrior, step_with_injected_noise
+from smcfilter.filter import FilterState, GaussianPrior, step
 from smcfilter.models import ConstantVelocity2D, RandomWalk1D, log_likelihood
 from smcfilter.resampling import (
     ResamplePolicy,
@@ -54,7 +54,7 @@ def rw_scenario(r, threshold):
 def test_criterion_1_golden_step_one():
     start = time.perf_counter()
     state = golden_state([-1.5, 0.2, 1.0, 2.5, 3.0])
-    step_with_injected_noise(state, 3.2, [0.3, -0.4, 1.0, -0.2, 0.5])
+    step(state, 3.2, [0.3, -0.4, 1.0, -0.2, 0.5])
     predicted = state.set.particles[:, 0]
     assert np.array_equal(predicted, np.array([-1.2, -0.2, 2.0, 2.3, 3.5]))
     np.testing.assert_allclose(state.set.weights, GOLDEN_WEIGHTS, atol=0.005)
@@ -66,7 +66,7 @@ def test_criterion_1_golden_step_one():
 def test_criterion_2_golden_step_two():
     model = RandomWalk1D(q=1.0, r=4.0)
     state = golden_state([2.0, 2.3, 3.5, 3.5, 2.3])
-    step_with_injected_noise(state, 0.6, [0.5, -0.8, 0.3, -0.2, 0.7])
+    step(state, 0.6, [0.5, -0.8, 0.3, -0.2, 0.7])
     predicted = state.set.particles[:, 0]
     np.testing.assert_allclose(predicted, [2.5, 1.5, 3.8, 3.3, 3.0], atol=1e-12)
     # exponential likelihood factors, with the density constant divided out

@@ -120,18 +120,18 @@ class TestNormalizeWeights:
 class TestEstimators:
     def test_weighted_mean_uniform(self):
         pset = ParticleSet.uniform(np.array([2.0, 2.3, 3.5, 3.5, 2.3]))
-        assert weighted_mean(pset)[0] == pytest.approx(2.72, abs=1e-12)
+        assert weighted_mean(pset.particles, pset.weights)[0] == pytest.approx(2.72, abs=1e-12)
 
     def test_weighted_mean_one_hot(self):
         lw = np.full(5, -np.inf)
         lw[3] = 0.0
         pset = ParticleSet(GOLDEN_PARTICLES, lw)
-        assert weighted_mean(pset)[0] == 2.3
+        assert weighted_mean(pset.particles, pset.weights)[0] == 2.3
 
     def test_weighted_mean_worked_example(self):
         # oracle: plain dot product of the worked tables
         pset = ParticleSet(GOLDEN_PARTICLES, np.log(GOLDEN_WEIGHTS))
-        assert weighted_mean(pset)[0] == pytest.approx(2.298, abs=1e-9)
+        assert weighted_mean(pset.particles, pset.weights)[0] == pytest.approx(2.298, abs=1e-9)
 
     @given(st.permutations(range(5)))
     def test_weighted_mean_permutation_invariant(self, perm):
@@ -139,29 +139,32 @@ class TestEstimators:
         base = ParticleSet(GOLDEN_PARTICLES, np.log(GOLDEN_WEIGHTS))
         shuffled = ParticleSet(GOLDEN_PARTICLES[perm], np.log(GOLDEN_WEIGHTS[perm]))
         np.testing.assert_allclose(
-            weighted_mean(base), weighted_mean(shuffled), atol=1e-12
+            weighted_mean(base.particles, base.weights),
+            weighted_mean(shuffled.particles, shuffled.weights),
+            atol=1e-12,
         )
 
     def test_map_worked_example(self):
         pset = ParticleSet(GOLDEN_PARTICLES, np.log(GOLDEN_WEIGHTS))
-        assert map_estimate(pset)[0] == 3.5
+        assert map_estimate(pset.particles, pset.log_weights)[0] == 3.5
 
     def test_map_uniform_tie_breaks_to_lowest_index(self):
         pset = ParticleSet.uniform(np.array([4.0, 1.0, 9.0]))
-        assert map_estimate(pset)[0] == 4.0
+        assert map_estimate(pset.particles, pset.log_weights)[0] == 4.0
 
     def test_map_one_hot(self):
         lw = np.full(5, -np.inf)
         lw[2] = 0.0
         pset = ParticleSet(GOLDEN_PARTICLES, lw)
-        assert map_estimate(pset)[0] == 2.0
+        assert map_estimate(pset.particles, pset.log_weights)[0] == 2.0
 
     @given(st.floats(min_value=-50, max_value=50))
     def test_map_invariant_under_rescaling(self, c):
         # adding c to log-weights == multiplying linear weights by exp(c)
         base = ParticleSet(GOLDEN_PARTICLES, np.log(GOLDEN_WEIGHTS))
         scaled = ParticleSet(GOLDEN_PARTICLES, np.log(GOLDEN_WEIGHTS) + c)
-        assert map_estimate(base)[0] == map_estimate(scaled)[0]
+        assert (map_estimate(base.particles, base.log_weights)[0]
+                == map_estimate(scaled.particles, scaled.log_weights)[0])
 
 
 class TestMonteCarloExpectation:
@@ -170,7 +173,8 @@ class TestMonteCarloExpectation:
 
     @staticmethod
     def expectation(g, samples):
-        return weighted_mean(ParticleSet.uniform([g(x) for x in samples]))[0]
+        pset = ParticleSet.uniform([g(x) for x in samples])
+        return weighted_mean(pset.particles, pset.weights)[0]
 
     def test_identity_mean_near_zero(self):
         samples = RngStream(2024).standard_normal(1000)

@@ -10,7 +10,6 @@ from smcfilter.filter import (
     InvalidPrior,
     init,
     step,
-    step_with_injected_noise,
 )
 from smcfilter.models import (
     ConstantVelocity2D,
@@ -91,6 +90,23 @@ class TestInit:
         assert (info.value.name, info.value.index) == (name, index)
         assert info.value.rule.startswith("must be finite")
 
+    @pytest.mark.parametrize(
+        "mean, std, name",
+        [
+            (np.zeros((4, 1)), np.ones((4, 1)), "mean"),
+            (np.zeros((4, 1)), np.ones(4), "mean"),
+            (np.zeros(4), np.ones((4, 1)), "std"),
+            ([[0.0, 0.0]], [[1.0, 1.0]], "mean"),
+        ],
+    )
+    def test_prior_of_more_than_one_dimension_rejected(self, mean, std, name):
+        # a (4, 1) cv2d prior would otherwise broadcast into one prior per particle
+        with pytest.raises(InvalidPrior) as info:
+            GaussianPrior(mean, std)
+        shape = np.shape(mean if name == "mean" else std)
+        assert info.value.name == name
+        assert info.value.rule == f"must have one dimension, got shape {shape}"
+
     def test_negative_std_names_element(self):
         with pytest.raises(InvalidPrior, match=r"^std\[1\] must be >= 0, got -1\.0$"):
             GaussianPrior([0.0, 0.0], [1.0, -1.0])
@@ -118,7 +134,7 @@ class TestInit:
 class TestGoldenSteps:
     def test_step_one_predictions_and_weights(self):
         state = make_state(GOLDEN_K1["initial"])
-        outcome = step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+        outcome = step(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
         np.testing.assert_array_equal(
             state.set.particles[:, 0], GOLDEN_K1["predicted"]
         )
@@ -136,7 +152,7 @@ class TestGoldenSteps:
 
     def test_step_two_from_resampled_set(self):
         state = make_state(GOLDEN_K2["initial"])
-        step_with_injected_noise(state, GOLDEN_K2["z"], GOLDEN_K2["noises"])
+        step(state, GOLDEN_K2["z"], GOLDEN_K2["noises"])
         np.testing.assert_allclose(
             state.set.particles[:, 0], GOLDEN_K2["predicted"], atol=1e-12
         )
@@ -167,8 +183,8 @@ class TestStep:
     def test_resample_resets_weights_and_keeps_existing_values(self):
         state = make_state(GOLDEN_K1["initial"], threshold=1.0, seed=4)
         weighed = make_state(GOLDEN_K1["initial"], threshold=0.0)
-        step_with_injected_noise(weighed, GOLDEN_K1["z"], GOLDEN_K1["noises"])
-        outcome = step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+        step(weighed, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+        outcome = step(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
         assert outcome.resampled is True
         np.testing.assert_allclose(state.set.weights, 0.2, atol=1e-12)
         # the injected noise draws nothing: the offset is the stream's first uniform
@@ -179,30 +195,34 @@ class TestStep:
 
     def test_estimate_computed_after_resampling(self):
         state = make_state(GOLDEN_K1["initial"], threshold=1.0)
-        outcome = step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+        outcome = step(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
         assert outcome.resampled is True
         assert outcome.estimate[0] == pytest.approx(state.set.particles[:, 0].mean())
 
     def test_map_estimator(self):
         state = make_state(GOLDEN_K1["initial"])
         state.estimator = "map"
-        outcome = step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+        outcome = step(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
         assert outcome.estimate[0] == 3.5
 
     def test_multinomial_scheme_runs(self):
         state = make_state(GOLDEN_K1["initial"], scheme="multinomial", threshold=1.0)
-        outcome = step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+        outcome = step(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
         assert outcome.resampled is True
         np.testing.assert_allclose(state.set.weights, 0.2, atol=1e-12)
 
     def test_weight_collapse_recovers_with_flag(self):
         state = make_state(GOLDEN_K1["initial"])
         state.set.log_weights[:] = -np.inf
-        outcome = step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+        outcome = step(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
         assert outcome.degenerate is True
         np.testing.assert_allclose(state.set.weights, 0.2, atol=1e-12)
 
-    @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "z",
+        [np.nan, np.inf, -np.inf, pytest.param(10**400, id="int-beyond-float"),
+         pytest.param([-(10**400)], id="int-list-beyond-float")],
+    )
     def test_non_finite_measurement_rejected_before_update(self, z):
         state = init(RW, GaussianPrior([0.0], [2.0]), 20, RngStream(4))
         before = state.set
@@ -222,8 +242,9 @@ class TestStep:
 
         state, twin = fresh(), fresh()
         before = state.set
-        with pytest.raises(NonFiniteMeasurement):
-            step(state, np.nan)
+        for z in (np.nan, 10**400, [10**400]):
+            with pytest.raises(NonFiniteMeasurement):
+                step(state, z)
         with pytest.raises(DimensionMismatch):
             step(state, [0.5, 0.5])
         assert state.set is before
@@ -239,7 +260,7 @@ class TestStep:
     )
     def test_set_of_wrong_length_rejected_before_any_draw(self, model, dim):
         def injected(state, z):
-            return step_with_injected_noise(state, z, np.zeros((5, dim)))
+            return step(state, z, np.zeros((5, dim)))
 
         z = np.zeros(model.obs_dim)
         for advance in (step, injected):
@@ -263,7 +284,7 @@ class TestStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="particles must be finite"):
-                step_with_injected_noise(state, 0.0, np.full(5, 1.5e308))
+                step(state, 0.0, np.full(5, 1.5e308))
         assert state.set is before
         assert np.array_equal(before.particles, particles)
         assert np.array_equal(before.log_weights, log_weights)
@@ -285,7 +306,7 @@ class TestStep:
     def test_measurement_beyond_every_particle_collapses_with_flag(self):
         # every squared residual overflows: all weights are exactly 0
         state = make_state(GOLDEN_K1["initial"])
-        outcome = step_with_injected_noise(state, 1e200, GOLDEN_K1["noises"])
+        outcome = step(state, 1e200, GOLDEN_K1["noises"])
         assert outcome.degenerate is True
         np.testing.assert_allclose(state.set.weights, 0.2, atol=1e-12)
 
@@ -307,7 +328,7 @@ class TestStep:
     def test_injected_noise_bit_identical_across_runs(self):
         def run():
             state = make_state(GOLDEN_K1["initial"], threshold=1.0, seed=9)
-            step_with_injected_noise(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
+            step(state, GOLDEN_K1["z"], GOLDEN_K1["noises"])
             # the stream gave exactly one uniform, the systematic offset
             replay = RngStream(9)
             replay.uniform()
@@ -333,7 +354,7 @@ class TestStep:
     def test_zero_noise_concentrates_weight_near_measurement(self):
         state = make_state(GOLDEN_K1["initial"])
         z = 1.0
-        step_with_injected_noise(state, z, np.zeros(5))
+        step(state, z, np.zeros(5))
         w = state.set.weights
         distance = np.abs(GOLDEN_K1["initial"] - z)
         # closer particles must carry no less weight
@@ -343,7 +364,7 @@ class TestStep:
     def test_noise_shape_validated(self):
         state = make_state(GOLDEN_K1["initial"])
         with pytest.raises(DimensionMismatch):
-            step_with_injected_noise(state, 1.0, np.zeros(4))
+            step(state, 1.0, np.zeros(4))
 
     def test_degeneracy_grows_without_resampling(self):
         model = RandomWalk1D(q=1.0, r=0.01)
@@ -445,7 +466,7 @@ def _initialized_then_mistyped():
 )
 def test_unknown_estimator_raises_before_any_draw(build):
     # an unknown estimator must not fall through to the weighted mean
-    for advance in (step, lambda state, z: step_with_injected_noise(state, z, np.zeros(3))):
+    for advance in (step, lambda state, z: step(state, z, np.zeros(3))):
         state = build()
         before = state.set
         particles, log_weights = before.particles.copy(), before.log_weights.copy()
@@ -456,3 +477,32 @@ def test_unknown_estimator_raises_before_any_draw(build):
         assert np.array_equal(before.log_weights, log_weights)
         # a fresh build's stream stands where the failed step found it
         assert state.rng.uniform() == build().rng.uniform()
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("estimator", ["weighted_mean", "map"])
+@pytest.mark.parametrize("scheme", ["systematic", "multinomial"])
+@pytest.mark.parametrize("model", [RW, ConstantVelocity2D()], ids=["rw1d", "cv2d"])
+def test_given_noises_replay_the_drawn_step_bit_for_bit(model, scheme, estimator, threshold):
+    """step(b, z, noises), given the scaled draws step(a, z) takes from a
+    same-seed stream, is the same step: the set, the outcome and the stream
+    position agree exactly."""
+    dim = model.state_dim
+    prior = GaussianPrior([0.0] * dim, [2.0] * dim)
+    policy = ResamplePolicy(scheme, threshold)
+    a, b = (init(model, prior, 40, RngStream(21), policy, estimator) for _ in range(2))
+    fired = []
+    for k in range(1, 6):
+        z = np.full(model.obs_dim, 0.7 * k)
+        noises = b.rng.standard_normal((40, dim))
+        noises *= model.process_std
+        got, want = step(b, z, noises), step(a, z)
+        assert np.array_equal(b.set.particles, a.set.particles)
+        assert np.array_equal(b.set.log_weights, a.set.log_weights)
+        assert np.array_equal(got.estimate, want.estimate)
+        assert (got.ess, got.resampled, got.degenerate) == (
+            want.ess, want.resampled, want.degenerate)
+        assert b.rng.uniform() == a.rng.uniform()
+        fired.append(want.resampled)
+    # the thresholds cover resampling never, on some steps and on every step
+    assert sum(fired) in {0.0: {0}, 0.5: {1, 2, 3, 4}, 1.0: {5}}[threshold]

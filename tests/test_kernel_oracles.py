@@ -281,14 +281,14 @@ class TestFiniteGuard:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="particles must be finite"):
-                sir.step_with_injected_noise(state, 0.0, noise)
+                sir.step(state, 0.0, noise)
         assert state.set is before
 
     def test_finite_particles_whose_sum_overflows_pass(self):
         state = self.state([[1e308], [1e308]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outcome = sir.step_with_injected_noise(state, 0.0, [0.0, 0.0])
+            outcome = sir.step(state, 0.0, [0.0, 0.0])
         # both squared residuals overflow, so the step collapses and resets
         assert outcome.degenerate
         assert np.array_equal(state.set.particles, [[1e308], [1e308]])

@@ -62,6 +62,33 @@ class TestConstruction:
         with pytest.raises(ArgumentError, match=r"^q must be >= 0, got -0\.1$"):
             RandomWalk1D(q=-0.1)
 
+    PARAMETERS = [(RandomWalk1D, "q"), (RandomWalk1D, "r"), (ConstantVelocity2D, "dt"),
+                  (ConstantVelocity2D, "q_pos"), (ConstantVelocity2D, "q_vel"),
+                  (ConstantVelocity2D, "r_meas")]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[1.0, 2.0], [2.0], np.array([2.0]), np.ones((1, 1)), True, np.bool_(True),
+         np.array(True), "2.0", None],
+        ids=["list", "one-element list", "1-d array", "2-d array", "bool", "numpy bool",
+             "0-d bool array", "str", "None"],
+    )
+    @pytest.mark.parametrize("cls, name", PARAMETERS)
+    def test_non_scalar_parameter_rejected(self, cls, name, bad):
+        with pytest.raises(ArgumentError) as info:
+            cls(**{name: bad})
+        assert info.value.name == name
+        assert info.value.rule == f"must be a real number, got {bad!r}"
+
+    @pytest.mark.parametrize(
+        "value", [2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2), np.array(2.0)]
+    )
+    @pytest.mark.parametrize("cls, name", PARAMETERS)
+    def test_real_scalar_parameter_accepted(self, cls, name, value):
+        model = cls(**{name: value})
+        assert model.process_var.shape == (model.state_dim,)
+        assert model.meas_var.shape == (model.obs_dim,)
+
     def test_zero_variances_and_dt_allowed(self):
         assert RandomWalk1D(q=0.0).q == 0.0
         assert ConstantVelocity2D(dt=0.0, q_pos=0.0, q_vel=0.0).dt == 0.0
@@ -220,7 +247,10 @@ class TestLogLikelihood:
             log_likelihood(CV, [1.0], [0.0, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize(
-        "model, z", [(RW, np.nan), (RW, np.inf), (CV, [0.0, -np.inf]), (CV, [np.nan, 1.0])]
+        "model, z",
+        [(RW, np.nan), (RW, np.inf), (CV, [0.0, -np.inf]), (CV, [np.nan, 1.0]),
+         pytest.param(RW, 10**400, id="int-beyond-float"),
+         pytest.param(CV, [0.0, -(10**400)], id="int-list-beyond-float")],
     )
     def test_non_finite_measurement_rejected(self, model, z):
         with pytest.raises(NonFiniteMeasurement):

@@ -200,3 +200,19 @@ class TestResamplePolicy:
         with pytest.raises(ArgumentError) as info:
             ResamplePolicy(*args)
         assert info.value.name == name
+
+    @pytest.mark.parametrize(
+        "bad", [[0.5], np.array([0.5]), True, np.bool_(False), np.array(True), "0.5", None],
+        ids=["list", "1-d array", "bool", "numpy bool", "0-d bool array", "str", "None"],
+    )
+    def test_non_scalar_fraction_rejected(self, bad):
+        with pytest.raises(ArgumentError) as info:
+            ResamplePolicy("systematic", bad)
+        assert info.value.name == "threshold_fraction"
+        assert info.value.rule == f"must be a real number, got {bad!r}"
+
+    @pytest.mark.parametrize("fraction", [1, 0.5, np.float32(0.5), np.int64(1), np.array(0.5)])
+    def test_real_scalar_fraction_accepted(self, fraction):
+        policy = ResamplePolicy("systematic", fraction)
+        assert should_resample(policy, 1.0, 4) is True
+        assert should_resample(policy, 4.0, 4) is False

@@ -28,15 +28,6 @@ RETIRED = {
         "normalize_weights returns the ESS with the weights, from the same "
         "shifted exponentials; its cost now shows in core.normalize"
     ),
-    ("smcfilter.filter", "weighted_mean"): (
-        "the step takes its estimate from the weights it holds, weights @ "
-        "predicted, with no second exp pass; its cost shows in filter.step "
-        "self time"
-    ),
-    ("smcfilter.filter", "map_estimate"): (
-        "the step takes its MAP estimate as the particle at the argmax of "
-        "the log-weights it holds; its cost shows in filter.step self time"
-    ),
     ("smcfilter.filter", "normalized_log_weights"): (
         "normalize_weights returns the shift m and the sum s, and a step that "
         "keeps its weights normalizes its own log-weights in place with them; "
@@ -94,20 +85,25 @@ def test_retired_hooks_are_gone():
     ],
 )
 def test_one_step_calls_each_timed_layer_once(monkeypatch, model, prior):
-    """The benchmark times the models.* and core.normalize layers through
-    these smcfilter.filter names, so one step must go through each of them
-    exactly once, whether or not it resamples."""
+    """The benchmark times the models.*, core.normalize and core.estimate
+    layers through these smcfilter.filter names, so one step must go through
+    each of them exactly once, and through the state's estimator only,
+    whether or not it resamples."""
+    names = ("propagate", "log_likelihood", "normalize_weights", "weighted_mean", "map_estimate")
     for threshold in (0.0, 1.0):
-        calls = Counter()
-        for name in ("propagate", "log_likelihood", "normalize_weights"):
+        for estimator, estimate in (("weighted_mean", "weighted_mean"), ("map", "map_estimate")):
+            calls = Counter()
+            for name in names:
 
-            def counted(*args, _name=name, _inner=getattr(sir, name)):
-                calls[_name] += 1
-                return _inner(*args)
+                def counted(*args, _name=name, _inner=getattr(sir, name)):
+                    calls[_name] += 1
+                    return _inner(*args)
 
-            monkeypatch.setattr(sir, name, counted)
-        state = sir.init(model, prior, 50, RngStream(3), ResamplePolicy("systematic", threshold))
-        outcome = sir.step(state, np.ones(model.obs_dim))
-        monkeypatch.undo()
-        assert outcome.resampled == (threshold == 1.0)
-        assert calls == {"propagate": 1, "log_likelihood": 1, "normalize_weights": 1}
+                monkeypatch.setattr(sir, name, counted)
+            policy = ResamplePolicy("systematic", threshold)
+            state = sir.init(model, prior, 50, RngStream(3), policy, estimator)
+            outcome = sir.step(state, np.ones(model.obs_dim))
+            monkeypatch.undo()
+            assert outcome.resampled == (threshold == 1.0)
+            assert calls == {"propagate": 1, "log_likelihood": 1, "normalize_weights": 1,
+                             estimate: 1}
