@@ -231,18 +231,17 @@ def write_particles_csv(path, trace: Trace, model) -> None:
 
 
 def _resolve_seed(cli_seed, cfg_seed) -> tuple[int, str]:
-    """The run's seed and where it came from, for error messages."""
-    if cli_seed is not None:
-        return cli_seed, "--seed"
-    if cfg_seed is not None:
+    """The run's seed and where it came from, for error messages: --seed's
+    text, the config's seed, SMC_SEED's text, 0. Both texts parse as int()."""
+    if cli_seed is None and cfg_seed is not None:
         return cfg_seed, "seed"
-    env = os.environ.get("SMC_SEED")
-    if env is not None:
-        try:
-            return int(env), "SMC_SEED"
-        except ValueError:
-            raise ConfigError(f"SMC_SEED: must be an integer, got {env!r}") from None
-    return 0, "seed"
+    text, source = (cli_seed, "--seed") if cli_seed is not None else (os.environ.get("SMC_SEED"), "SMC_SEED")
+    if text is None:
+        return 0, "seed"
+    try:
+        return int(text), source
+    except ValueError:
+        raise ConfigError(f"{source}: must be an integer, got {text!r}") from None
 
 
 def _run_summary(trace: Trace, model) -> str:
@@ -270,8 +269,10 @@ def cmd_run(scenario: Scenario, seed: int, seed_source: str, out_path, dumps) ->
     try:
         trace = run_scenario(scenario, seed, dump_steps=dumps)
     except ValueError as exc:
-        # the scenario passed its argument checks when it was built; the seed has not
-        message = f"{seed_source}: {exc.rule}" if isinstance(exc, ArgumentError) else exc
+        # the scenario passed its argument checks when it was built; the seed has
+        # not, and a truth that overflows fails the step's measurement check
+        seed_error = isinstance(exc, ArgumentError) and exc.name == "seed"
+        message = f"{seed_source}: {exc.rule}" if seed_error else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
     try:
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
         run_p = sub.add_parser(name, help=helptext)
         if name == "run":
             run_p.add_argument("--config", required=True, help="path to the JSON run config")
-        run_p.add_argument("--seed", type=int, default=None, help="seed override (u64)")
+        run_p.add_argument("--seed", default=None, help="seed override (u64)")
         run_p.add_argument("--out", required=name == "run", default=f"{name}.csv",
                            help="trace CSV output path")
         run_p.add_argument("--dump-particles", default=None, metavar="K1,K2,...",

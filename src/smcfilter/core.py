@@ -9,6 +9,7 @@ domain until a normalized linear view is needed.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,33 +35,43 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """True for a Python or numpy int or float or a 0-d array of one; bool is none."""
-    if isinstance(value, np.ndarray):
-        return value.ndim == 0 and value.dtype.kind in "iuf"
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def real_array(name: str, value, error=ArgumentError) -> np.ndarray:
+    """``value`` as a float array, the rule for every number a caller hands
+    the library; a float64 array comes back as itself. Raise ``error`` for
+    argument ``name`` unless every element is a Python or numpy int or float
+    (bool is none): "must be a real number" names the first other element by
+    its flat index, "must be finite" an integer beyond the float range."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return np.asarray(value, dtype=float)
+    obj = np.asarray(value, dtype=object)
+    for i, v in enumerate(obj.ravel().tolist()):
+        if not (is_integer(v) or isinstance(v, (float, np.floating))):
+            if obj.ndim == 0:
+                raise error(name, f"must be a real number, got {value!r}")
+            raise error(name, f"must be a real number, got {v!r}", i)
+    try:
+        return obj.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        raise error(name, f"must be finite, got {reprlib.repr(value)}") from None
 
 
 def check_arg(name: str, value, low=None, high=None, strict=False, integer=False,
               scalar=False, error=ArgumentError):
-    """``value`` as a float array. Raise ``error`` for argument ``name``
-    unless every element is finite and lies in [low, high], with low itself
-    excluded when ``strict``; a bound of None is open. With ``integer``,
-    ``value`` must also be a single integer (see is_integer), with
-    ``scalar`` a single real number (see is_real)."""
+    """``value`` as a float array (see real_array). Raise ``error`` for
+    argument ``name`` unless every element is finite and lies in [low, high],
+    with low itself excluded when ``strict``; a bound of None is open. With
+    ``integer``, ``value`` must also be a single integer (see is_integer),
+    with ``scalar`` a single real number."""
     if integer and not is_integer(value):
         raise error(name, f"must be an integer, got {value!r}")
-    if scalar and not is_real(value):
+    arr = real_array(name, value, error)
+    if scalar and arr.ndim:
         raise error(name, f"must be a real number, got {value!r}")
     bound = None
     if high is not None:
         bound = f"must be in [{low:g}, {high:g}]"
     elif low is not None:
         bound = f"must be {'>' if strict else '>='} {low:g}"
-    try:
-        arr = np.asarray(value, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise error(name, f"must be finite, got {value}") from None
     for i, v in enumerate(arr.ravel().tolist()):
         if not math.isfinite(v):
             rule = "must be finite"
@@ -127,14 +138,14 @@ class ParticleSet:
     log_weights: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.particles, dtype=float)
+        arr = real_array("particles", self.particles)
         if arr.ndim == 1:
             arr = arr[:, np.newaxis]
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError(f"particles must be a non-empty (N, n) array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("particles must be finite")
-        lw = np.asarray(self.log_weights, dtype=float)
+        lw = real_array("log_weights", self.log_weights)
         if lw.shape != (arr.shape[0],):
             raise ValueError(
                 f"log_weights shape {lw.shape} does not match {arr.shape[0]} particles"
@@ -169,7 +180,7 @@ class ParticleSet:
     @classmethod
     def uniform(cls, particles) -> "ParticleSet":
         """Build a set with equal weights 1/N."""
-        arr = np.asarray(particles, dtype=float)
+        arr = real_array("particles", particles)
         # a scalar or empty input meets the constructor's check, not an
         # IndexError or log(0)'s warning
         n = arr.shape[0] if arr.ndim else 0
@@ -196,7 +207,7 @@ def normalize_weights(log_weights) -> tuple[np.ndarray, float, float, float]:
     order: for |m| beyond ~1e16, m + log(s) rounds to m and lw - (m + log(s))
     would no longer be normalized (Blanchard, Higham & Higham 2021).
     """
-    lw = np.asarray(log_weights, dtype=float)
+    lw = real_array("log_weights", log_weights)
     if lw.size < 1:
         raise ValueError("need at least one log-weight")
     m = lw.max()

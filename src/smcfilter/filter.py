@@ -23,6 +23,7 @@ from .core import (
     check_arg,
     map_estimate,
     normalize_weights,
+    real_array,
     weighted_mean,
 )
 from .models import DimensionMismatch, check_measurement
@@ -168,7 +169,7 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
         noises *= model.process_std
         predicted = propagate(model, pset.particles, noises)
     else:
-        noises = np.asarray(noises, dtype=float)
+        noises = real_array("noises", noises)
         if noises.ndim == 1:
             noises = noises[:, np.newaxis]
         if noises.shape != pset.particles.shape:

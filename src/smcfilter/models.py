@@ -9,21 +9,21 @@ is always the last one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import check_arg
+from .core import ArgumentError, check_arg, real_array
 
 
 class DimensionMismatch(ValueError):
     """State, noise, or observation length does not fit the model."""
 
 
-class NonFiniteMeasurement(ValueError):
-    """A measurement component is NaN or infinite."""
+class NonFiniteMeasurement(ArgumentError):
+    """A measurement component is NaN, infinite or not a real number; its
+    ``name`` is ``measurement``."""
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -174,13 +174,11 @@ class ConstantVelocity2D(StateSpaceModel):
 
 
 def _check_state(model, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = real_array("x", x)
     if x.ndim == 0:
         x = x[np.newaxis]
     if x.shape[-1] != model.state_dim:
-        raise DimensionMismatch(
-            f"state has length {x.shape[-1]}, model expects {model.state_dim}"
-        )
+        raise DimensionMismatch(f"state has length {x.shape[-1]}, model expects {model.state_dim}")
     return x
 
 
@@ -193,7 +191,7 @@ def propagate(model, x, noise) -> np.ndarray:
     with matching noise.
     """
     x = _check_state(model, x)
-    noise = np.asarray(noise, dtype=float)
+    noise = real_array("noise", noise)
     if noise.ndim == 0:
         noise = noise[np.newaxis]
     if noise.shape != x.shape:
@@ -207,27 +205,15 @@ def _propagate(model, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return model.f(x) + noise
 
 
-def predict_measurement(model, x) -> np.ndarray:
-    """Expected sensor reading h(x) for a state or a batch of states, as a
-    fresh array."""
-    return np.array(model.h(_check_state(model, x)))
-
-
 def check_measurement(model, z) -> np.ndarray:
-    """z as a float (o,) array; raises DimensionMismatch for a wrong shape and
-    NonFiniteMeasurement for a NaN, infinite or beyond-float-range component."""
-    try:
-        z = np.asarray(z, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise NonFiniteMeasurement(f"measurement must be finite, got {z}") from None
+    """z as a float (o,) array; raises NonFiniteMeasurement for a component
+    that is not a finite real number (see core.check_arg) and
+    DimensionMismatch for a wrong shape."""
+    z = check_arg("measurement", z, error=NonFiniteMeasurement)
     if z.ndim == 0:
         z = z[np.newaxis]
     if z.shape != (model.obs_dim,):
-        raise DimensionMismatch(
-            f"measurement has shape {z.shape}, model expects ({model.obs_dim},)"
-        )
-    if not all(map(math.isfinite, z.tolist())):
-        raise NonFiniteMeasurement(f"measurement must be finite, got {z}")
+        raise DimensionMismatch(f"measurement has shape {z.shape}, model expects ({model.obs_dim},)")
     return z
 
 

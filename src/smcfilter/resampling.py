@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArgumentError, RngStream, _ess, check_arg
+from .core import ArgumentError, RngStream, _ess, check_arg, real_array
 
 SCHEMES = ("systematic", "multinomial")
 
@@ -46,7 +46,7 @@ def _checked_cumsum(weights) -> np.ndarray:
     """The weights' cumulative sum, its last entry pinned to exactly 1 so a
     rounding shortfall cannot walk past the last index. The sum check reads
     the entry before the pin, so the weights are summed once."""
-    cumsum = np.asarray(weights, dtype=float).cumsum()
+    cumsum = real_array("weights", weights).cumsum()
     _require_sum(cumsum[-1] if cumsum.size else np.float64(0.0))
     cumsum[-1] = 1.0
     return cumsum
@@ -56,7 +56,7 @@ def effective_sample_size(weights) -> float:
     """N_eff = 1 / sum(w^2) for weights that sum to 1, taken as
     (sum e)^2 / sum(e^2) on e = w / max(w) (see core._ess): exactly N for N
     equal weights, 1 for a one-hot vector."""
-    w = np.asarray(weights, dtype=float)
+    w = real_array("weights", weights)
     _require_sum(w.sum())
     e = w / w.max()
     return _ess(e, e.sum())

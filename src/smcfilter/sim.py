@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filter as sir
-from .core import ArgumentError, RngStream, check_arg, is_integer, weighted_mean
+from .core import ArgumentError, RngStream, check_arg, is_integer, real_array, weighted_mean
 from .filter import FilterState, GaussianPrior
 from .models import DimensionMismatch, propagate
 from .resampling import ResamplePolicy, effective_sample_size
@@ -159,8 +159,8 @@ def _snapshot(state: FilterState) -> tuple[np.ndarray, np.ndarray]:
 
 def rmse(a, b) -> float:
     """Root mean squared Euclidean distance per step between two sequences."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = real_array("a", a)
+    b = real_array("b", b)
     if a.ndim == 1:
         a = a[:, np.newaxis]
     if b.ndim == 1:

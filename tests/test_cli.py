@@ -241,15 +241,30 @@ class TestRunCommand:
         )
         assert not (tmp_path / "t.csv").exists()
 
-    def test_out_of_range_seed_flag_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, rule",
+        [(str(2**64), f"must be an unsigned 64-bit integer, got {2**64}"),
+         ("1.5", "must be an integer, got '1.5'")],
+        ids=["out-of-range", "not-an-integer"],
+    )
+    def test_bad_seed_flag_exits_1(self, tmp_path, capsys, text, rule):
         config = write_config(tmp_path, sample_config())
-        rc = cli.main(["run", "--config", config, "--seed", str(2**64),
+        rc = cli.main(["run", "--config", config, "--seed", text,
                        "--out", str(tmp_path / "t.csv")])
         assert rc == 1
-        assert capsys.readouterr().err == (
-            f"error: --seed: must be an unsigned 64-bit integer, got {2**64}\n"
-        )
+        assert capsys.readouterr().err == f"error: --seed: {rule}\n"
         assert not (tmp_path / "t.csv").exists()
+
+    def test_truth_overflow_reports_the_measurement_not_the_seed(self, tmp_path, capsys):
+        # the truth's px + vx dt passes the largest double at k = 1, so its
+        # measurement is infinite while every particle stays finite
+        data = dict(CV2D, T=3, N=5, seed=3, initial_truth=[0.0, 0.0, 10.0, 0.0],
+                    model=dict(CV2D["model"], dt=1e308),
+                    prior={"mean": [0.0] * 4, "std": [1.0, 1.0, 1e-3, 1e-3]})
+        config = write_config(tmp_path, data)
+        rc = cli.main(["run", "--config", config, "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: measurement[0] must be finite, got inf\n"
 
     def test_config_seed_error_names_field(self, tmp_path, capsys):
         config = write_config(tmp_path, sample_config(seed=-3))

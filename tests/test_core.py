@@ -14,6 +14,7 @@ from smcfilter.core import (
     check_arg,
     map_estimate,
     normalize_weights,
+    real_array,
     weighted_mean,
 )
 from smcfilter.models import RandomWalk1D
@@ -91,6 +92,19 @@ class TestNormalizeWeights:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalize_weights(np.array([]))
+
+    @pytest.mark.parametrize(
+        "bad, rule, index",
+        [([0.0, True], "must be a real number, got True", 1),
+         (["0.0"], "must be a real number, got '0.0'", 0),
+         ([0.0, 10**400], "must be finite", None)],
+        ids=["bool", "str", "int-beyond-float"],
+    )
+    def test_non_number_rejected(self, bad, rule, index):
+        with pytest.raises(ArgumentError) as info:
+            normalize_weights(bad)
+        assert (info.value.name, info.value.index) == ("log_weights", index)
+        assert info.value.rule.startswith(rule)
 
     def test_extreme_magnitudes_do_not_underflow(self):
         out, _, _, _ = normalize_weights(np.array([-2000.0, -2001.0]))
@@ -276,6 +290,61 @@ class TestParticleSet:
         with pytest.raises(ValueError, match="non-empty"):
             ParticleSet.uniform(1.0)
 
+    @pytest.mark.parametrize(
+        "particles, log_weights, name, rule, index",
+        [([10**400], [0.0], "particles", "must be finite", None),
+         ([0.0, True], [0.0, 0.0], "particles", "must be a real number, got True", 1),
+         ([[0.0], ["1.0"]], [0.0, 0.0], "particles", "must be a real number, got '1.0'", 1),
+         ([0.0, 0.0], [0.0, False], "log_weights", "must be a real number, got False", 1),
+         ([0.0], "0.0", "log_weights", "must be a real number, got '0.0'", None)],
+        ids=["int-beyond-float", "bool", "str", "bool-log-weight", "str-log-weights"],
+    )
+    def test_non_number_rejected(self, particles, log_weights, name, rule, index):
+        with pytest.raises(ArgumentError) as info:
+            ParticleSet(particles, log_weights)
+        assert (info.value.name, info.value.index) == (name, index)
+        assert info.value.rule.startswith(rule)
+
+    @pytest.mark.parametrize("bad", [[0.0, 10**400], [True, False], ["0.0", "1.0"], None],
+                             ids=["int-beyond-float", "bool", "str", "None"])
+    def test_uniform_non_number_rejected(self, bad):
+        with pytest.raises(ArgumentError) as info:
+            ParticleSet.uniform(bad)
+        assert info.value.name == "particles"
+
+
+class TestRealArray:
+    @pytest.mark.parametrize("value", [np.arange(3.0), np.zeros((2, 2)), np.array(1.5)])
+    def test_float_array_comes_back_as_itself(self, value):
+        assert real_array("x", value) is value
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(2, 2.0), ([1, 2.5], [1.0, 2.5]), (np.int64(3), 3.0), (np.float32(0.5), 0.5),
+         ([np.float64(1.0), np.int32(2)], [1.0, 2.0]), (np.arange(3), [0.0, 1.0, 2.0]),
+         ([], np.empty(0))],
+    )
+    def test_ints_and_floats_convert(self, value, expected):
+        arr = real_array("x", value)
+        assert arr.dtype == np.float64
+        np.testing.assert_array_equal(arr, expected)
+
+    def test_bad_element_deep_in_a_large_array_is_named_on_one_line(self):
+        cloud = np.zeros((100_000, 4)).tolist()
+        cloud[76_543][2] = True
+        with pytest.raises(ArgumentError) as info:
+            ParticleSet(cloud, np.zeros(100_000))
+        assert str(info.value) == "particles[306174] must be a real number, got True"
+
+    def test_integer_beyond_float_range_in_a_large_array_prints_one_short_line(self):
+        cloud = [0.0] * 100_000
+        cloud[-1] = 10**400
+        with pytest.raises(ArgumentError) as info:
+            ParticleSet.uniform(cloud)
+        message = str(info.value)
+        assert message.startswith("particles must be finite, got [0.0, 0.0,")
+        assert "\n" not in message and len(message) < 120
+
 
 class TestCheckArg:
     @pytest.mark.parametrize(
@@ -304,6 +373,12 @@ class TestCheckArg:
             (True, {"low": 1, "integer": True}, "must be an integer, got True", None),
             ("3", {"integer": True}, "must be an integer, got '3'", None),
             (0, {"low": 1, "integer": True}, "must be >= 1, got 0", None),
+            (True, {}, "must be a real number, got True", None),
+            ("1.0", {}, "must be a real number, got '1.0'", None),
+            (None, {}, "must be a real number, got None", None),
+            (1 + 2j, {}, "must be a real number, got (1+2j)", None),
+            ([[1.0, 2.0], [3.0, "4"]], {"low": 0.0}, "must be a real number, got '4'", 3),
+            (np.array([0, 1], dtype=bool), {}, "must be a real number, got False", 0),
         ],
     )
     def test_rejects_naming_argument_and_element(self, value, kwargs, rule, index):

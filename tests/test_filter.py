@@ -73,22 +73,26 @@ class TestInit:
             init(RW, GaussianPrior([0.0], [-1.0]), 5, RngStream(1))
 
     @pytest.mark.parametrize(
-        "mean, std, name, index",
+        "mean, std, name, index, rule",
         [
-            ([np.nan], [1.0], "mean", 0),
-            ([0.0, np.inf], [1.0, 1.0], "mean", 1),
-            ([0.0], [np.inf], "std", 0),
-            ([0.0, 0.0], [1.0, -np.inf], "std", 1),
-            ([0.0, 0.0], [np.nan, 1.0], "std", 0),
-            ([10**400], [1.0], "mean", None),
-            ([0.0, 0.0], [1.0, -10**400], "std", None),
+            ([np.nan], [1.0], "mean", 0, "must be finite"),
+            ([0.0, np.inf], [1.0, 1.0], "mean", 1, "must be finite"),
+            ([0.0], [np.inf], "std", 0, "must be finite"),
+            ([0.0, 0.0], [1.0, -np.inf], "std", 1, "must be finite"),
+            ([0.0, 0.0], [np.nan, 1.0], "std", 0, "must be finite"),
+            ([10**400], [1.0], "mean", None, "must be finite"),
+            ([0.0, 0.0], [1.0, -10**400], "std", None, "must be finite"),
+            ("1.0", [1.0], "mean", None, "must be a real number, got '1.0'"),
+            ([0.0, 0.0], [1.0, "2.0"], "std", 1, "must be a real number, got '2.0'"),
+            ([0.0], True, "std", None, "must be a real number, got True"),
+            ([False, 0.0], [1.0, 1.0], "mean", 0, "must be a real number, got False"),
         ],
     )
-    def test_non_finite_prior_rejected(self, mean, std, name, index):
+    def test_non_finite_prior_rejected(self, mean, std, name, index, rule):
         with pytest.raises(InvalidPrior) as info:
             GaussianPrior(mean, std)
         assert (info.value.name, info.value.index) == (name, index)
-        assert info.value.rule.startswith("must be finite")
+        assert info.value.rule.startswith(rule)
 
     @pytest.mark.parametrize(
         "mean, std, name",
@@ -221,14 +225,35 @@ class TestStep:
     @pytest.mark.parametrize(
         "z",
         [np.nan, np.inf, -np.inf, pytest.param(10**400, id="int-beyond-float"),
-         pytest.param([-(10**400)], id="int-list-beyond-float")],
+         pytest.param([-(10**400)], id="int-list-beyond-float"), True, "1.0",
+         pytest.param([True], id="bool-list")],
     )
     def test_non_finite_measurement_rejected_before_update(self, z):
         state = init(RW, GaussianPrior([0.0], [2.0]), 20, RngStream(4))
+        twin = init(RW, GaussianPrior([0.0], [2.0]), 20, RngStream(4))
         before = state.set
-        with pytest.raises(NonFiniteMeasurement):
+        with pytest.raises(NonFiniteMeasurement) as info:
             step(state, z)
+        assert info.value.name == "measurement"
         assert state.set is before
+        # not one draw was spent
+        assert state.rng.standard_normal() == twin.rng.standard_normal()
+
+    @pytest.mark.parametrize(
+        "noises, index",
+        [([10**400] * 5, None), ([True] * 5, 0), ([0.0, 0.0, 0.0, "0.1", 0.0], 3),
+         ("0.1", None)],
+        ids=["int-beyond-float", "bool", "str", "str-scalar"],
+    )
+    def test_non_number_noises_rejected_before_any_draw(self, noises, index):
+        state = make_state(GOLDEN_K1["initial"], threshold=1.0, seed=9)
+        before = state.set
+        with pytest.raises(ArgumentError) as info:
+            step(state, GOLDEN_K1["z"], noises)
+        assert (info.value.name, info.value.index) == ("noises", index)
+        assert state.set is before
+        # not one draw was spent
+        assert state.rng.uniform() == RngStream(9).uniform()
 
     def test_rejected_measurement_leaves_set_and_stream_untouched(self):
         def fresh():

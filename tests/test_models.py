@@ -11,7 +11,6 @@ from smcfilter.models import (
     NonFiniteMeasurement,
     RandomWalk1D,
     log_likelihood,
-    predict_measurement,
     propagate,
 )
 
@@ -157,34 +156,34 @@ class TestPropagate:
         with pytest.raises(DimensionMismatch):
             propagate(RW, [1.0], np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "x, noise, name, index",
+        [([10**400], [0.0], "x", None), ([True], [0.0], "x", 0), ("1.0", [0.0], "x", None),
+         ([0.0], [10**400], "noise", None), ([0.0], [False], "noise", 0),
+         ([[0.0], [1.0]], [[0.0], ["0.5"]], "noise", 1)],
+    )
+    def test_non_number_rejected(self, x, noise, name, index):
+        with pytest.raises(ArgumentError) as info:
+            propagate(RW, x, noise)
+        assert (info.value.name, info.value.index) == (name, index)
 
-class TestPredictMeasurement:
-    def test_rw1d_identity(self):
-        assert predict_measurement(RW, [2.0])[0] == 2.0
 
-    def test_cv2d_projects_position(self):
-        np.testing.assert_array_equal(
-            predict_measurement(CV, [1.0, 0.5, 1.0, 0.5]), [1.0, 0.5]
-        )
-
-    def test_cv2d_velocity_unobserved(self):
-        np.testing.assert_array_equal(
-            predict_measurement(CV, [0.0, 0.0, 9.0, 9.0]), [0.0, 0.0]
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            predict_measurement(CV, [1.0, 2.0, 3.0])
+class TestMeasurementMap:
+    @pytest.mark.parametrize(
+        "model, x, reading",
+        [(RW, [2.0], [2.0]), (CV, [1.0, 0.5, 1.0, 0.5], [1.0, 0.5]),
+         (CV, [0.0, 0.0, 9.0, 9.0], [0.0, 0.0])],
+        ids=["rw1d-identity", "cv2d-projects-position", "cv2d-velocity-unobserved"],
+    )
+    def test_h_reads_the_observed_components(self, model, x, reading):
+        np.testing.assert_array_equal(model.h(np.array(x)), reading)
 
     @pytest.mark.parametrize("model", [RW, CV])
-    def test_h_is_a_read_only_view_and_the_public_reading_is_fresh(self, model):
+    def test_h_is_a_read_only_view(self, model):
         x = np.arange(3.0 * model.state_dim).reshape(3, model.state_dim)
         hx = model.h(x)
         assert np.shares_memory(hx, x) and not hx.flags.writeable
         assert x.flags.writeable
-        reading = predict_measurement(model, x)
-        assert not np.shares_memory(reading, x) and reading.flags.writeable
-        np.testing.assert_array_equal(reading, hx)
 
 
 class TestLogLikelihood:
@@ -255,6 +254,31 @@ class TestLogLikelihood:
     def test_non_finite_measurement_rejected(self, model, z):
         with pytest.raises(NonFiniteMeasurement):
             log_likelihood(model, z, np.zeros((3, model.state_dim)))
+
+    @pytest.mark.parametrize(
+        "x, index",
+        [([10**400], None), ([[0.0], [True]], 1), ([["0.0"]], 0), (None, None)],
+        ids=["int-beyond-float", "bool", "str", "None"],
+    )
+    def test_non_number_state_rejected(self, x, index):
+        with pytest.raises(ArgumentError) as info:
+            log_likelihood(RW, 0.0, x)
+        assert (info.value.name, info.value.index) == ("x", index)
+
+    @pytest.mark.parametrize(
+        "z, rule, index",
+        [(True, "must be a real number, got True", None),
+         ("1.0", "must be a real number, got '1.0'", None),
+         ([0.0, None], "must be a real number, got None", 1),
+         (np.nan, "must be finite, got nan", None),
+         ([0.0, np.inf], "must be finite, got inf", 1)],
+    )
+    def test_measurement_error_is_an_argument_error_named_measurement(self, z, rule, index):
+        model = RW if np.ndim(z) == 0 else CV
+        with pytest.raises(NonFiniteMeasurement) as info:
+            log_likelihood(model, z, np.zeros((3, model.state_dim)))
+        assert isinstance(info.value, ArgumentError)
+        assert (info.value.name, info.value.rule, info.value.index) == ("measurement", rule, index)
 
     def test_overflowing_residual_gives_minus_inf_silently(self):
         # the squared residual overflows; -inf (weight 0) is the correct limit

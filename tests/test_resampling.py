@@ -54,6 +54,18 @@ class TestEffectiveSampleSize:
         with pytest.raises(NotNormalized):
             effective_sample_size(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize(
+        "bad, index",
+        [([0.0, 10**400], None), ([True, False], 0), (["0.5", "0.5"], 0), ([0.5, None], 1)],
+        ids=["int-beyond-float", "bool", "str", "None"],
+    )
+    def test_non_number_weights_rejected(self, bad, index):
+        for check in (effective_sample_size, lambda w: systematic_resample(w, 0.5),
+                      lambda w: multinomial_resample(w, FakeRng([0.5, 0.5]))):
+            with pytest.raises(ArgumentError) as info:
+                check(bad)
+            assert (info.value.name, info.value.index) == ("weights", index)
+
     def test_rejects_nan_weights(self):
         with pytest.raises(NotNormalized):
             effective_sample_size(np.array([0.5, np.nan]))

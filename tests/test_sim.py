@@ -260,6 +260,16 @@ class TestRmse:
         with pytest.raises(DimensionMismatch):
             rmse(np.zeros((3, 2)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize(
+        "a, b, name, index",
+        [([1.0, True], [1.0, 1.0], "a", 1), ([0.0], ["0.0"], "b", 0),
+         ([0.0], [10**400], "b", None)],
+    )
+    def test_non_number_rejected(self, a, b, name, index):
+        with pytest.raises(ArgumentError) as info:
+            rmse(a, b)
+        assert (info.value.name, info.value.index) == (name, index)
+
 
 class TestScenarioValidation:
     def test_horizon_must_be_positive(self):
@@ -274,6 +284,7 @@ class TestScenarioValidation:
             ({"initial": float("nan")}, "initial_truth"),
             ({"initial": float("-inf")}, "initial_truth"),
             ({"initial": 10**400}, "initial_truth"),
+            ({"initial": True}, "initial_truth"),
         ],
     )
     def test_construction_names_the_failed_argument(self, kwargs, name):
