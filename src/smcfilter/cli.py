@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ArgumentError, ParticleSet, RngStream, check_arg
+from .core import ArgumentError, ParticleSet, RngStream, check_arg, shown
 from .filter import FilterState, GaussianPrior, step
 from .models import ConstantVelocity2D, RandomWalk1D
 from .resampling import ResamplePolicy
@@ -72,19 +72,21 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        _fail(path, f"must be finite, got {value}")
+def _reported(exc: ArgumentError, path: str) -> ConfigError:
+    """A library argument error as a ConfigError under the field path ``path``."""
+    return ConfigError(f"{path}{'' if exc.index is None else f'[{exc.index}]'}: {exc.rule}")
+
+
+def _number(value, path: str, low=None) -> float:
+    """value as a float under the library's numeric rule, and >= low unless that
+    is None; an error is an ArgumentError named ``path``, for the caller to report."""
+    return float(check_arg(path, value, low=low, scalar=True))
 
 
 def _float_list(value, path: str, length: int | None = None) -> list:
     """value as a list of numbers, of ``length`` numbers unless that is None."""
     if not isinstance(value, list):
-        _fail(path, f"must be a list of numbers, got {value!r}")
+        _fail(path, f"must be a list of numbers, got {shown(value)}")
     if length is not None and len(value) != length:
         _fail(path, f"must have length {length}, got {len(value)}")
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -94,11 +96,11 @@ def _object(value, path: str, required, optional=()) -> dict:
     """value as a JSON object with every required key and no unknown one;
     ``path`` is the object's field path, "" for the file's root."""
     if not isinstance(value, dict):
-        _fail(path or "root", f"must be a JSON object, got {value!r}")
+        _fail(path or "root", f"must be a JSON object, got {shown(value)}")
     prefix = f"{path}." if path else ""
     for key in value:
         if key not in required and key not in optional:
-            _fail(prefix + key, "unknown field")
+            _fail(prefix + shown(key)[1:-1], "unknown field")  # the key bounded, unquoted
     for key in required:
         if key not in value:
             _fail(prefix + key, "missing required field")
@@ -108,24 +110,24 @@ def _object(value, path: str, required, optional=()) -> dict:
 def _dump_steps(steps, path: str, t_steps: int) -> list:
     """steps as a list of integer step indices in [0, T)."""
     if not isinstance(steps, list):
-        _fail(path, f"must be a list of step indices, got {steps!r}")
+        _fail(path, f"must be a list of step indices, got {shown(steps)}")
     try:
         return check_dump_steps(steps, t_steps)
     except ArgumentError as exc:
-        _fail(f"{path}[{exc.index}]", exc.rule)
+        raise _reported(exc, path) from None
 
 
 def parse_config(data: dict) -> RunConfig:
     """Check a config mapping and build the run's library objects from it.
 
     The checks here are those of the JSON boundary: field names, value
-    types and list lengths. Each value rule is the constructors' own; their
-    errors come back as ConfigError under the field path."""
+    types and list lengths. Each value rule, the numeric one included, is the
+    library's own; its errors come back as ConfigError under the field path."""
     _object(data, "", ("scenario", "T", "N", "model", "prior", "initial_truth"),
             ("resampler", "threshold_fraction", "estimator", "seed", "dump_particles"))
     name = data["scenario"]
     if not isinstance(name, str) or name not in SCENARIOS:
-        _fail("scenario", f"must be one of {sorted(SCENARIOS)}, got {name!r}")
+        _fail("scenario", f"must be one of {sorted(SCENARIOS)}, got {shown(name)}")
     model_cls, keys = SCENARIOS[name]
     block = _object(data["model"], "model", tuple(keys))
     prior = _object(data["prior"], "prior", ("mean", "std"))
@@ -151,8 +153,7 @@ def parse_config(data: dict) -> RunConfig:
             RngStream(seed)
     except ArgumentError as exc:
         fields = dict(_FIELDS, **{arg: f"model.{key}" for key, arg in keys.items()})
-        path = fields.get(exc.name, exc.name)
-        _fail(path if exc.index is None else f"{path}[{exc.index}]", exc.rule)
+        raise _reported(exc, fields.get(exc.name, exc.name)) from None
     dump = _dump_steps(data.get("dump_particles", []), "dump_particles", scenario.t_steps)
     return RunConfig(scenario, seed, dump)
 
@@ -230,18 +231,20 @@ def write_particles_csv(path, trace: Trace, model) -> None:
                 fh.write("".join([f"{k},{i},{row}" for i, row in enumerate(rows, start)]))
 
 
-def _resolve_seed(cli_seed, cfg_seed) -> tuple[int, str]:
-    """The run's seed and where it came from, for error messages: --seed's
-    text, the config's seed, SMC_SEED's text, 0. Both texts parse as int()."""
+def _resolve_seed(cli_seed, cfg_seed) -> int:
+    """The run's seed: --seed's text, the config's seed (checked by parse_config),
+    SMC_SEED's text, 0. A text must be an int() and meet RngStream's rule."""
     if cli_seed is None and cfg_seed is not None:
-        return cfg_seed, "seed"
+        return cfg_seed
     text, source = (cli_seed, "--seed") if cli_seed is not None else (os.environ.get("SMC_SEED"), "SMC_SEED")
     if text is None:
-        return 0, "seed"
+        return 0
     try:
-        return int(text), source
+        return RngStream(int(text)).seed
+    except ArgumentError as exc:
+        raise _reported(exc, source) from None
     except ValueError:
-        raise ConfigError(f"{source}: must be an integer, got {text!r}") from None
+        _fail(source, f"must be an integer, got {shown(text)}")
 
 
 def _run_summary(trace: Trace, model) -> str:
@@ -262,18 +265,14 @@ def _parse_dump_list(text: str) -> list:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ConfigError(f"--dump-particles: must be comma-separated integers, got {text!r}") from None
+        raise ConfigError(f"--dump-particles: must be comma-separated integers, got {shown(text)}") from None
 
 
-def cmd_run(scenario: Scenario, seed: int, seed_source: str, out_path, dumps) -> int:
+def cmd_run(scenario: Scenario, seed: int, out_path, dumps) -> int:
     try:
         trace = run_scenario(scenario, seed, dump_steps=dumps)
-    except ValueError as exc:
-        # the scenario passed its argument checks when it was built; the seed has
-        # not, and a truth that overflows fails the step's measurement check
-        seed_error = isinstance(exc, ArgumentError) and exc.name == "seed"
-        message = f"{seed_source}: {exc.rule}" if seed_error else exc
-        print(f"error: {message}", file=sys.stderr)
+    except ValueError as exc:  # a truth that overflows fails the step's measurement check
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         write_trace_csv(out_path, trace, scenario.model)
@@ -302,21 +301,13 @@ def _load_fixture(path_arg: str) -> dict:
                     "expected_weights", "tolerance"), ("r",))
 
 
-def _tolerance(value, path: str) -> float:
-    """A tolerance: a finite number >= 0."""
-    try:
-        return float(check_arg(path, _number(value, path), low=0.0))
-    except ArgumentError as exc:
-        _fail(path, exc.rule)
-
-
 def _tolerances(tol) -> tuple[float, float]:
     """(predicted, weights): one number for both, or an object; 1e-9 for a key left out."""
     if isinstance(tol, dict):
         _object(tol, "tolerance", (), ("predicted", "weights"))
-        return (_tolerance(tol.get("predicted", 1e-9), "tolerance.predicted"),
-                _tolerance(tol.get("weights", 1e-9), "tolerance.weights"))
-    tol = _tolerance(tol, "tolerance")
+        return (_number(tol.get("predicted", 1e-9), "tolerance.predicted", low=0),
+                _number(tol.get("weights", 1e-9), "tolerance.weights", low=0))
+    tol = _number(tol, "tolerance", low=0)
     return tol, tol
 
 
@@ -339,8 +330,9 @@ def cmd_golden(fixture_arg: str) -> int:
             rng=RngStream(0),
         )
         step(state, z, noises)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a library error is named by its field: a number's path, or r
+        error = _reported(exc, exc.name) if isinstance(exc, ArgumentError) else exc
+        print(f"error: {error}", file=sys.stderr)
         return 2
 
     predicted = state.set.particles.ravel()
@@ -404,11 +396,11 @@ def main(argv=None) -> int:
         if args.dump_particles is not None:
             dumps = _dump_steps(_parse_dump_list(args.dump_particles), "--dump-particles",
                                 cfg.scenario.t_steps)
-        seed, seed_source = _resolve_seed(args.seed, cfg.seed)
+        seed = _resolve_seed(args.seed, cfg.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return cmd_run(cfg.scenario, seed, seed_source, args.out, dumps)
+    return cmd_run(cfg.scenario, seed, args.out, dumps)
 
 
 if __name__ == "__main__":

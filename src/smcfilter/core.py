@@ -35,6 +35,18 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+class _Shown(reprlib.Repr):
+    def repr_int(self, x, level):  # Python prints no int of more than 4300 digits
+        return repr(x) if x.bit_length() <= 128 else f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
+
+
+def shown(value) -> str:
+    """A caller's value as error text of at most 60 characters: reprlib's
+    bounded repr, with an int of more than 128 bits shown by its size."""
+    text = _Shown().repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def real_array(name: str, value, error=ArgumentError) -> np.ndarray:
     """``value`` as a float array, the rule for every number a caller hands
     the library; a float64 array comes back as itself. Raise ``error`` for
@@ -47,12 +59,12 @@ def real_array(name: str, value, error=ArgumentError) -> np.ndarray:
     for i, v in enumerate(obj.ravel().tolist()):
         if not (is_integer(v) or isinstance(v, (float, np.floating))):
             if obj.ndim == 0:
-                raise error(name, f"must be a real number, got {value!r}")
-            raise error(name, f"must be a real number, got {v!r}", i)
+                raise error(name, f"must be a real number, got {shown(value)}")
+            raise error(name, f"must be a real number, got {shown(v)}", i)
     try:
         return obj.astype(float)
     except OverflowError:  # an integer beyond the float range
-        raise error(name, f"must be finite, got {reprlib.repr(value)}") from None
+        raise error(name, f"must be finite, got {shown(value)}") from None
 
 
 def check_arg(name: str, value, low=None, high=None, strict=False, integer=False,
@@ -63,10 +75,10 @@ def check_arg(name: str, value, low=None, high=None, strict=False, integer=False
     ``integer``, ``value`` must also be a single integer (see is_integer),
     with ``scalar`` a single real number."""
     if integer and not is_integer(value):
-        raise error(name, f"must be an integer, got {value!r}")
+        raise error(name, f"must be an integer, got {shown(value)}")
     arr = real_array(name, value, error)
     if scalar and arr.ndim:
-        raise error(name, f"must be a real number, got {value!r}")
+        raise error(name, f"must be a real number, got {shown(value)}")
     bound = None
     if high is not None:
         bound = f"must be in [{low:g}, {high:g}]"
@@ -79,8 +91,8 @@ def check_arg(name: str, value, low=None, high=None, strict=False, integer=False
             rule = bound
         else:
             continue
-        if arr.ndim == 0:
-            raise error(name, f"{rule}, got {value}")
+        if arr.ndim == 0:  # only an int can print too long; a numpy scalar prints as a number
+            raise error(name, f"{rule}, got {shown(value) if isinstance(value, int) else value}")
         raise error(name, f"{rule}, got {v}", i)
     return arr
 
@@ -97,10 +109,10 @@ class RngStream:
 
     def __init__(self, seed: int):
         if not is_integer(seed):
-            raise ArgumentError("seed", f"must be an integer, got {seed!r}")
+            raise ArgumentError("seed", f"must be an integer, got {shown(seed)}")
         seed = int(seed)
         if not 0 <= seed < 2**64:
-            raise ArgumentError("seed", f"must be an unsigned 64-bit integer, got {seed}")
+            raise ArgumentError("seed", f"must be an unsigned 64-bit integer, got {shown(seed)}")
         self._seed = seed
         self._gen = np.random.Generator(np.random.PCG64(seed))
 

@@ -24,6 +24,7 @@ from .core import (
     map_estimate,
     normalize_weights,
     real_array,
+    shown,
     weighted_mean,
 )
 from .models import DimensionMismatch, check_measurement
@@ -103,7 +104,7 @@ class StepOutcome:
 
 def _check_estimator(estimator) -> None:
     if estimator not in ESTIMATORS:
-        raise ArgumentError("estimator", f"must be one of {ESTIMATORS}, got {estimator!r}")
+        raise ArgumentError("estimator", f"must be one of {ESTIMATORS}, got {shown(estimator)}")
 
 
 def check_settings(model, prior: GaussianPrior, n_particles: int, estimator: str) -> None:

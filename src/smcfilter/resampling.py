@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArgumentError, RngStream, _ess, check_arg, real_array
+from .core import ArgumentError, RngStream, _ess, check_arg, real_array, shown
 
 SCHEMES = ("systematic", "multinomial")
 
@@ -32,7 +32,7 @@ class ResamplePolicy:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ArgumentError("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ArgumentError("scheme", f"must be one of {SCHEMES}, got {shown(self.scheme)}")
         check_arg("threshold_fraction", self.threshold_fraction, low=0.0, high=1.0, scalar=True)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filter as sir
-from .core import ArgumentError, RngStream, check_arg, is_integer, real_array, weighted_mean
+from .core import ArgumentError, RngStream, check_arg, is_integer, real_array, shown, weighted_mean
 from .filter import FilterState, GaussianPrior
 from .models import DimensionMismatch, propagate
 from .resampling import ResamplePolicy, effective_sample_size
@@ -83,9 +83,9 @@ def check_dump_steps(steps, t_steps: int) -> list:
     first step i that is not an integer or lies outside [0, t_steps)."""
     for i, k in enumerate(steps):
         if not is_integer(k):
-            raise ArgumentError("dump_steps", f"must be an integer, got {k!r}", i)
+            raise ArgumentError("dump_steps", f"must be an integer, got {shown(k)}", i)
         if not 0 <= k < t_steps:
-            raise ArgumentError("dump_steps", f"step {k} outside horizon T={t_steps}", i)
+            raise ArgumentError("dump_steps", f"step {shown(int(k))} outside horizon T={t_steps}", i)
     return [int(k) for k in steps]
 
 

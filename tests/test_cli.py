@@ -48,6 +48,18 @@ def write_config(tmp_path, data, name="config.json"):
     return str(path)
 
 
+# Any JSON value: what json.loads can return, NaN and the infinities included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=10,
+)
+# A list of 1e5 copies of one value: echoed whole, it would flood the error line.
+LONG_LISTS = st.builds(lambda item: [item] * 100_000, JSON_VALUES)
+CONFIG_FIELDS = [(key,) for key in sample_config()] + [
+    ("model", "q"), ("model", "r"), ("prior", "mean"), ("prior", "std")]
+
+
 class TestConfigParsing:
     def test_defaults_applied(self):
         data = sample_config()
@@ -99,12 +111,20 @@ class TestConfigParsing:
             ({"model": {"q": 10**400, "r": 4.0}}, "model.q"),
             ({"prior": {"mean": [10**400], "std": [2.0]}}, "prior.mean[0]"),
             ({"threshold_fraction": 10**400}, "threshold_fraction"),
+            # values too long to echo whole
+            ({"T": 10**5000}, "T"),
+            ({"seed": 10**5000}, "seed"),
+            ({"model": {"q": 10**5000, "r": 4.0}}, "model.q"),
+            ({"dump_particles": [10**5000]}, "dump_particles[0]"),
+            ({"prior": {"mean": {"x": [0] * 100_000}, "std": [2.0]}}, "prior.mean"),
+            ({"scenario": "x" * 100_000}, "scenario"),
         ],
     )
     def test_field_path_in_error(self, mutation, path):
         # the message starts with exactly this path: model.r, not model.r_meas
-        with pytest.raises(ConfigError, match="^" + re.escape(path) + ": "):
+        with pytest.raises(ConfigError, match="^" + re.escape(path) + ": ") as info:
             parse_config(sample_config(**mutation))
+        assert len(str(info.value)) <= 200
 
     def test_non_finite_json_values_rejected(self, tmp_path):
         # Python's json reads NaN and Infinity; the model rejects them when built
@@ -127,6 +147,29 @@ class TestConfigParsing:
             with pytest.raises(ConfigError) as info:
                 parse_config(json.loads(json.dumps(sample_config(**{key: value}))))
             assert str(info.value) == f"{key}: must be an integer, got {value!r}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(CONFIG_FIELDS), JSON_VALUES | LONG_LISTS)
+    @example(("prior", "mean"), {"x": [0] * 100_000})
+    @example(("model", "q"), [0.0] * 200_000)
+    @example(("model", "q"), 10**5000)
+    @example(("seed",), [10**5000])
+    @example(("dump_particles",), ["x" * 1000])
+    @example(("model",), {"q": 1.0, "r": 4.0, "\n" * 300: 1})
+    def test_any_json_value_at_any_field_parses_or_gives_one_short_line(self, field, value):
+        data = sample_config()
+        *parents, key = field
+        target = data
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        try:
+            cfg = parse_config(data)
+        except ConfigError as exc:
+            message = str(exc)
+            assert len(message) <= 200 and "\n" not in message, message
+        else:
+            assert isinstance(cfg, cli.RunConfig)
 
     def test_missing_required_field(self):
         data = sample_config()
@@ -244,8 +287,10 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "text, rule",
         [(str(2**64), f"must be an unsigned 64-bit integer, got {2**64}"),
-         ("1.5", "must be an integer, got '1.5'")],
-        ids=["out-of-range", "not-an-integer"],
+         ("1.5", "must be an integer, got '1.5'"),
+         # int() reads no text of more than 4300 digits
+         ("1" * 5000, "must be an integer, got '111111111111...1111111111111'")],
+        ids=["out-of-range", "not-an-integer", "beyond-int"],
     )
     def test_bad_seed_flag_exits_1(self, tmp_path, capsys, text, rule):
         config = write_config(tmp_path, sample_config())
@@ -469,6 +514,9 @@ class TestGoldenCommand:
             pytest.param("R", 1.0, id="unknown-field"),
             pytest.param("z", [], id="z-empty"),
             pytest.param("noises", [0.0], id="noises-short"),
+            pytest.param("r", -1.0, id="r-negative"),
+            pytest.param("r", 0, id="r-zero"),
+            pytest.param("r", float("nan"), id="r-nan"),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):

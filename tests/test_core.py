@@ -223,12 +223,13 @@ class TestRngStream:
         draws = RngStream(3).uniform(10000)
         assert np.all(draws >= 0.0) and np.all(draws < 1.0)
 
-    @pytest.mark.parametrize("bad", [-1, 2**64])
-    def test_seed_range_validated(self, bad):
+    @pytest.mark.parametrize("bad, text", [(-1, "-1"), (2**64, str(2**64)),
+                                           pytest.param(10**5000, "<16610-bit int>", id="huge")])
+    def test_seed_range_validated(self, bad, text):
         with pytest.raises(ArgumentError) as info:
             RngStream(bad)
         assert info.value.name == "seed"
-        assert info.value.rule == f"must be an unsigned 64-bit integer, got {bad}"
+        assert info.value.rule == f"must be an unsigned 64-bit integer, got {text}"
 
     def test_seed_range_edges_accepted(self):
         assert RngStream(0).seed == 0
@@ -379,6 +380,19 @@ class TestCheckArg:
             (1 + 2j, {}, "must be a real number, got (1+2j)", None),
             ([[1.0, 2.0], [3.0, "4"]], {"low": 0.0}, "must be a real number, got '4'", 3),
             (np.array([0, 1], dtype=bool), {}, "must be a real number, got False", 0),
+            # a value's text is bounded: an oversized int by its size, a long
+            # string or list cut short; a numpy scalar still prints as a number
+            pytest.param(10**5000, {"low": 1, "integer": True},
+                         "must be finite, got <16610-bit int>", None, id="huge-int"),
+            pytest.param(-(10**300), {"low": 0}, "must be >= 0, got -<997-bit int>", None,
+                         id="long-negative-int"),
+            ([0.0, -(10**300)], {"low": 0}, "must be >= 0, got -1e+300", 1),
+            pytest.param("1" * 5000, {}, "must be a real number, got '111111111111...1111111111111'",
+                         None, id="long-str"),
+            pytest.param([[0.0] * 100_000], {"scalar": True},
+                         "must be a real number, got [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...]]", None,
+                         id="long-list"),
+            (np.float64(-1.0), {"low": 0}, "must be >= 0, got -1.0", None),
         ],
     )
     def test_rejects_naming_argument_and_element(self, value, kwargs, rule, index):

@@ -82,6 +82,7 @@ class TestInit:
             ([0.0, 0.0], [np.nan, 1.0], "std", 0, "must be finite"),
             ([10**400], [1.0], "mean", None, "must be finite"),
             ([0.0, 0.0], [1.0, -10**400], "std", None, "must be finite"),
+            ([10**5000], [1.0], "mean", None, "must be finite, got [<16610-bit int>]"),
             ("1.0", [1.0], "mean", None, "must be a real number, got '1.0'"),
             ([0.0, 0.0], [1.0, "2.0"], "std", 1, "must be a real number, got '2.0'"),
             ([0.0], True, "std", None, "must be a real number, got True"),

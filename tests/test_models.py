@@ -32,12 +32,15 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "kwargs",
         [{"q": -0.1}, {"r": 0.0}, {"r": -1.0},
-         {"q": math.nan}, {"q": math.inf}, {"r": math.inf}, {"r": -math.inf}],
+         {"q": math.nan}, {"q": math.inf}, {"r": math.inf}, {"r": -math.inf},
+         {"q": 10**5000}, {"r": -(10**300)}, {"q": [0.0] * 200_000}],
     )
     def test_rw1d_invalid_variances(self, kwargs):
         with pytest.raises(ArgumentError) as info:
             RandomWalk1D(**kwargs)
         assert info.value.name == next(iter(kwargs))
+        # no value is echoed beyond one short line
+        assert len(str(info.value)) <= 200 and "\n" not in str(info.value)
 
     @pytest.mark.parametrize(
         "kwargs",

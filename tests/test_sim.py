@@ -157,8 +157,10 @@ class TestRunScenario:
             ([10], 0, "step 10 outside horizon T=10"),
             ([1, 2.7], 1, "must be an integer, got 2.7"),
             ([True], 0, "must be an integer, got True"),
+            ([np.int64(12)], 0, "step 12 outside horizon T=10"),
+            ([10**5000], 0, "step <16610-bit int> outside horizon T=10"),
         ],
-        ids=["past-horizon", "negative", "at-horizon", "float", "bool"],
+        ids=["past-horizon", "negative", "at-horizon", "float", "bool", "numpy-int", "huge-int"],
     )
     def test_bad_dump_step_rejected(self, steps, index, rule):
         with pytest.raises(ArgumentError) as err:
