@@ -16,7 +16,6 @@ from .resampling import (
     ResamplePolicy,
     effective_sample_size,
     multinomial_resample,
-    should_resample,
     systematic_resample,
 )
 from .sim import Scenario, Trace, rmse, run_scenario
@@ -45,7 +44,6 @@ __all__ = [
     "normalize_weights",
     "rmse",
     "run_scenario",
-    "should_resample",
     "systematic_resample",
     "weighted_mean",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -41,6 +42,9 @@ _FIELDS = {
     "mean": "prior.mean",
     "std": "prior.std",
 }
+
+# library argument -> golden fixture field, where the two names differ
+_FIXTURE_FIELDS = {"particles": "initial_particles"}
 
 DEMOS = {
     "demo-1d": {
@@ -233,7 +237,9 @@ def write_particles_csv(path, trace: Trace, model) -> None:
 
 def _resolve_seed(cli_seed, cfg_seed) -> int:
     """The run's seed: --seed's text, the config's seed (checked by parse_config),
-    SMC_SEED's text, 0. A text must be an int() and meet RngStream's rule."""
+    SMC_SEED's text, 0. A text must be an int() and meet RngStream's rule; a
+    sign and decimal digits that int() refuses (more than 4300 digits) break
+    the range rule."""
     if cli_seed is None and cfg_seed is not None:
         return cfg_seed
     text, source = (cli_seed, "--seed") if cli_seed is not None else (os.environ.get("SMC_SEED"), "SMC_SEED")
@@ -244,7 +250,8 @@ def _resolve_seed(cli_seed, cfg_seed) -> int:
     except ArgumentError as exc:
         raise _reported(exc, source) from None
     except ValueError:
-        _fail(source, f"must be an integer, got {shown(text)}")
+        kind = "an unsigned 64-bit integer" if re.fullmatch(r"[+-]?\d+", text.strip()) else "an integer"
+        _fail(source, f"must be {kind}, got {shown(text)}")
 
 
 def _run_summary(trace: Trace, model) -> str:
@@ -271,7 +278,7 @@ def _parse_dump_list(text: str) -> list:
 def cmd_run(scenario: Scenario, seed: int, out_path, dumps) -> int:
     try:
         trace = run_scenario(scenario, seed, dump_steps=dumps)
-    except ValueError as exc:  # a truth that overflows fails the step's measurement check
+    except ArgumentError as exc:  # a truth that overflows fails the step's measurement check
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -330,9 +337,11 @@ def cmd_golden(fixture_arg: str) -> int:
             rng=RngStream(0),
         )
         step(state, z, noises)
-    except ValueError as exc:  # a library error is named by its field: a number's path, or r
-        error = _reported(exc, exc.name) if isinstance(exc, ArgumentError) else exc
-        print(f"error: {error}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArgumentError as exc:
+        print(f"error: {_reported(exc, _FIXTURE_FIELDS.get(exc.name, exc.name))}", file=sys.stderr)
         return 2
 
     predicted = state.set.particles.ravel()

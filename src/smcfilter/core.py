@@ -15,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class AllWeightsCollapsed(Exception):
-    """Raised when every log-weight is -inf and no normalization exists."""
-
-
 class ArgumentError(ValueError):
     """An argument breaks its rule. ``name`` is the argument, ``index`` the
     first offending element of an array argument (None for a scalar) and
@@ -28,6 +24,10 @@ class ArgumentError(ValueError):
     def __init__(self, name: str, rule: str, index: int | None = None):
         super().__init__(f"{name}{'' if index is None else f'[{index}]'} {rule}")
         self.name, self.rule, self.index = name, rule, index
+
+
+class AllWeightsCollapsed(ArgumentError):
+    """Every log-weight is -inf, so no normalization exists."""
 
 
 def is_integer(value) -> bool:
@@ -154,16 +154,15 @@ class ParticleSet:
         if arr.ndim == 1:
             arr = arr[:, np.newaxis]
         if arr.ndim != 2 or arr.shape[0] < 1:
-            raise ValueError(f"particles must be a non-empty (N, n) array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("particles must be finite")
+            raise ArgumentError("particles", f"must be a non-empty (N, n) array, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            check_arg("particles", arr)  # raises at the first non-finite element
         lw = real_array("log_weights", self.log_weights)
         if lw.shape != (arr.shape[0],):
-            raise ValueError(
-                f"log_weights shape {lw.shape} does not match {arr.shape[0]} particles"
-            )
+            raise ArgumentError("log_weights", f"shape {lw.shape} does not match {arr.shape[0]} particles")
         if not (lw < np.inf).all():
-            raise ValueError("log_weights must not be NaN or +inf")
+            i = int(np.argmin(lw < np.inf))
+            raise ArgumentError("log_weights", f"must not be NaN or +inf, got {lw[i]}", i)
         self.particles = arr
         self.log_weights = lw
 
@@ -221,10 +220,10 @@ def normalize_weights(log_weights) -> tuple[np.ndarray, float, float, float]:
     """
     lw = real_array("log_weights", log_weights)
     if lw.size < 1:
-        raise ValueError("need at least one log-weight")
+        raise ArgumentError("log_weights", "must not be empty")
     m = lw.max()
     if m == -np.inf:
-        raise AllWeightsCollapsed("all log-weights are -inf")
+        raise AllWeightsCollapsed("log_weights", "are all -inf")
     w = lw - m
     np.exp(w, out=w)
     s = w.sum()

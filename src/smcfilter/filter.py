@@ -35,13 +35,7 @@ from .models import DimensionMismatch, check_measurement
 # names, these aliases go.
 from .models import _log_likelihood as log_likelihood
 from .models import _propagate as propagate
-from .resampling import (
-    NotNormalized,
-    ResamplePolicy,
-    multinomial_resample,
-    should_resample,
-    systematic_resample,
-)
+from .resampling import NotNormalized, ResamplePolicy, multinomial_resample, systematic_resample
 
 ESTIMATORS = ("weighted_mean", "map")
 
@@ -113,9 +107,7 @@ def check_settings(model, prior: GaussianPrior, n_particles: int, estimator: str
     check_arg("n_particles", n_particles, low=1, integer=True)
     _check_estimator(estimator)
     if prior.dim != model.state_dim:
-        raise DimensionMismatch(
-            f"prior has dimension {prior.dim}, model expects {model.state_dim}"
-        )
+        raise DimensionMismatch("prior", f"has dimension {prior.dim}, model expects {model.state_dim}")
 
 
 def init(
@@ -161,9 +153,7 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     pset = state.set
     n = pset.n_particles
     if pset.dim != model.state_dim:
-        raise DimensionMismatch(
-            f"particles have length {pset.dim}, model expects {model.state_dim}"
-        )
+        raise DimensionMismatch("particles", f"have length {pset.dim}, model expects {model.state_dim}")
     z = check_measurement(model, z)
     if noises is None:
         noises = state.rng.standard_normal((n, pset.dim))
@@ -174,7 +164,7 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
         if noises.ndim == 1:
             noises = noises[:, np.newaxis]
         if noises.shape != pset.particles.shape:
-            raise DimensionMismatch(f"noises shape {noises.shape}, expected {pset.particles.shape}")
+            raise DimensionMismatch("noises", f"shape {noises.shape}, expected {pset.particles.shape}")
         # Caller noise can be large enough for f(x) + noise to overflow;
         # drawn noise cannot (sqrt(Q) times a normal draw stays far below
         # half an ulp of the largest double). The inf it leaves is rejected
@@ -185,9 +175,10 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     # A sum of squares is finite only if every particle is. np.vdot takes it
     # in one pass with no temporary and, unlike a numpy sum, warns of no
     # overflow. When it is not finite, because a particle is not or because
-    # the squares overflow, the exact test decides.
+    # the squares overflow, the exact test decides, and check_arg raises at
+    # the first non-finite element.
     if not math.isfinite(np.vdot(predicted, predicted)) and not np.isfinite(predicted).all():
-        raise ValueError("particles must be finite")
+        check_arg("particles", predicted)
 
     # Weight update in the log domain. The update adds into the likelihood's
     # fresh array instead of allocating another.
@@ -202,9 +193,9 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
         degenerate = True
         ess = float(n)
     if ess != ess:
-        raise NotNormalized("weights are NaN: a log-weight is NaN or +inf")
+        raise NotNormalized("weights", "are NaN: a log-weight is NaN or +inf")
 
-    resampled = should_resample(state.policy, ess, n)
+    resampled = bool(ess < state.policy.threshold_fraction * n)
     if resampled:
         if state.policy.scheme == "systematic":
             indices = systematic_resample(weights, state.rng.uniform())

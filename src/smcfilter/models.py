@@ -17,8 +17,9 @@ import numpy as np
 from .core import ArgumentError, check_arg, real_array
 
 
-class DimensionMismatch(ValueError):
-    """State, noise, or observation length does not fit the model."""
+class DimensionMismatch(ArgumentError):
+    """A state, noise, measurement, prior or initial-truth shape does not fit
+    the model, or rmse's second sequence does not fit its first."""
 
 
 class NonFiniteMeasurement(ArgumentError):
@@ -178,7 +179,7 @@ def _check_state(model, x) -> np.ndarray:
     if x.ndim == 0:
         x = x[np.newaxis]
     if x.shape[-1] != model.state_dim:
-        raise DimensionMismatch(f"state has length {x.shape[-1]}, model expects {model.state_dim}")
+        raise DimensionMismatch("x", f"has length {x.shape[-1]}, model expects {model.state_dim}")
     return x
 
 
@@ -195,7 +196,7 @@ def propagate(model, x, noise) -> np.ndarray:
     if noise.ndim == 0:
         noise = noise[np.newaxis]
     if noise.shape != x.shape:
-        raise DimensionMismatch(f"noise shape {noise.shape} does not match state shape {x.shape}")
+        raise DimensionMismatch("noise", f"shape {noise.shape} does not match state shape {x.shape}")
     return _propagate(model, x, noise)
 
 
@@ -213,7 +214,7 @@ def check_measurement(model, z) -> np.ndarray:
     if z.ndim == 0:
         z = z[np.newaxis]
     if z.shape != (model.obs_dim,):
-        raise DimensionMismatch(f"measurement has shape {z.shape}, model expects ({model.obs_dim},)")
+        raise DimensionMismatch("measurement", f"has shape {z.shape}, model expects ({model.obs_dim},)")
     return z
 
 

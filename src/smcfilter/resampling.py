@@ -14,8 +14,8 @@ SCHEMES = ("systematic", "multinomial")
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-class NotNormalized(ValueError):
-    """Weights do not sum to 1 within tolerance."""
+class NotNormalized(ArgumentError):
+    """Weights do not sum to 1 within tolerance, or are NaN."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class ResamplePolicy:
 def _require_sum(total) -> None:
     # written so that a NaN sum fails too
     if not abs(total - 1.0) <= 1e-6:
-        raise NotNormalized(f"weights sum to {total!r}, expected 1")
+        raise NotNormalized("weights", f"sum to {float(total)!r}, expected 1")
 
 
 def _checked_cumsum(weights) -> np.ndarray:
@@ -72,8 +72,12 @@ def systematic_resample(weights, u: float) -> np.ndarray:
     ceil(N*w_i) times. The weights are checked before u.
     """
     cumsum = _checked_cumsum(weights)
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must be in [0, 1), got {u}")
+    # the step's float passes on the compare alone; anything else meets the
+    # numeric rule first
+    if not (isinstance(u, float) and 0.0 <= u < 1.0):
+        check_arg("u", u, scalar=True)
+        if not 0.0 <= u < 1.0:
+            raise ArgumentError("u", f"must be in [0, 1), got {shown(u)}")
     n = cumsum.size
     positions = np.arange(n, dtype=float)
     positions += u
@@ -99,9 +103,3 @@ def multinomial_resample(weights, rng: RngStream) -> np.ndarray:
     draws.sort()
     return cumsum.searchsorted(draws, side="right")
 
-
-def should_resample(policy: ResamplePolicy, n_eff: float, n: int) -> bool:
-    """True iff n_eff < threshold_fraction * n (strict)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return bool(n_eff < policy.threshold_fraction * n)

@@ -38,9 +38,8 @@ class Scenario:
         self.initial_truth = np.atleast_1d(check_arg("initial_truth", self.initial_truth))
         n = self.model.state_dim
         if self.initial_truth.shape != (n,):
-            raise DimensionMismatch(
-                f"initial_truth has shape {self.initial_truth.shape}, model expects ({n},)"
-            )
+            raise DimensionMismatch("initial_truth",
+                                    f"has shape {self.initial_truth.shape}, model expects ({n},)")
         sir.check_settings(self.model, self.prior, self.n_particles, self.estimator)
 
 
@@ -166,5 +165,5 @@ def rmse(a, b) -> float:
     if b.ndim == 1:
         b = b[:, np.newaxis]
     if a.shape != b.shape:
-        raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
+        raise DimensionMismatch("b", f"has shape {b.shape}, a has shape {a.shape}")
     return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))

@@ -284,21 +284,38 @@ class TestRunCommand:
         )
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("source", ["--seed", "SMC_SEED"])
     @pytest.mark.parametrize(
         "text, rule",
         [(str(2**64), f"must be an unsigned 64-bit integer, got {2**64}"),
          ("1.5", "must be an integer, got '1.5'"),
-         # int() reads no text of more than 4300 digits
-         ("1" * 5000, "must be an integer, got '111111111111...1111111111111'")],
-        ids=["out-of-range", "not-an-integer", "beyond-int"],
+         # int() reads no text of more than 4300 digits; such a digit
+         # string is out of range
+         ("1" * 5000, "must be an unsigned 64-bit integer, got '111111111111...1111111111111'"),
+         ("-" + "1" * 5000, "must be an unsigned 64-bit integer, got '-11111111111...1111111111111'"),
+         ("1" * 5000 + "x", "must be an integer, got '111111111111...111111111111x'")],
+        ids=["out-of-range", "not-an-integer", "beyond-int", "beyond-int-negative", "beyond-int-text"],
     )
-    def test_bad_seed_flag_exits_1(self, tmp_path, capsys, text, rule):
-        config = write_config(tmp_path, sample_config())
-        rc = cli.main(["run", "--config", config, "--seed", text,
-                       "--out", str(tmp_path / "t.csv")])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: --seed: {rule}\n"
+    def test_bad_seed_text_exits_1(self, tmp_path, monkeypatch, capsys, source, text, rule):
+        data = sample_config()
+        data.pop("seed")
+        argv = ["run", "--config", write_config(tmp_path, data), "--out", str(tmp_path / "t.csv")]
+        if source == "--seed":
+            argv += ["--seed", text]
+        else:
+            monkeypatch.setenv("SMC_SEED", text)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {source}: {rule}\n"
         assert not (tmp_path / "t.csv").exists()
+
+    def test_seed_text_is_read_by_int(self, tmp_path):
+        config = write_config(tmp_path, sample_config())
+        outputs = []
+        for text in ("1000", "1_000", " +1000 "):
+            out = tmp_path / "t.csv"
+            assert cli.main(["run", "--config", config, "--seed", text, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_truth_overflow_reports_the_measurement_not_the_seed(self, tmp_path, capsys):
         # the truth's px + vx dt passes the largest double at k = 1, so its
@@ -473,15 +490,6 @@ class TestGoldenCommand:
         assert cli.main(["golden", str(path)]) == 2
         assert capsys.readouterr().err == "error: noises: missing required field\n"
 
-    def test_empty_initial_particles_exits_2(self, tmp_path, capsys):
-        fixture = json.loads(cli._bundled_fixture("ch4_k1.json").read_text())
-        fixture["initial_particles"] = []
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps(fixture))
-        assert cli.main(["golden", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: particles must be a non-empty") and err.count("\n") == 1
-
     def test_unparseable_fixture_exits_2(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{{{")
@@ -517,6 +525,7 @@ class TestGoldenCommand:
             pytest.param("r", -1.0, id="r-negative"),
             pytest.param("r", 0, id="r-zero"),
             pytest.param("r", float("nan"), id="r-nan"),
+            pytest.param("initial_particles", [], id="initial-particles-empty"),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):

@@ -274,7 +274,7 @@ class TestParticleSet:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_nan_and_plus_inf_log_weights_rejected(self, bad):
-        with pytest.raises(ValueError, match="log_weights must not be NaN or \\+inf"):
+        with pytest.raises(ArgumentError, match=rf"^log_weights\[0\] must not be NaN or \+inf, got {bad}$"):
             ParticleSet(np.zeros(3), np.array([bad, 0.0, 0.0]))
 
     def test_minus_inf_log_weight_accepted(self):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from smcfilter import filter as sir
 from smcfilter.core import ArgumentError, ParticleSet, RngStream
 from smcfilter.filter import (
     FilterState,
@@ -309,7 +310,7 @@ class TestStep:
         particles, log_weights = before.particles.copy(), before.log_weights.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="particles must be finite"):
+            with pytest.raises(ArgumentError, match=r"^particles\[0\] must be finite, got inf$"):
                 step(state, 0.0, np.full(5, 1.5e308))
         assert state.set is before
         assert np.array_equal(before.particles, particles)
@@ -323,7 +324,7 @@ class TestStep:
         particles, log_weights = before.particles.copy(), before.log_weights.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="particles must be finite"):
+            with pytest.raises(ArgumentError, match=r"^particles\[0\] must be finite, got inf$"):
                 step(state, [0.0, 0.0])
         assert state.set is before
         assert np.array_equal(before.particles, particles)
@@ -452,6 +453,27 @@ class TestThresholdOne:
         reference = RngStream(4)
         reference.standard_normal(10)
         assert state.rng.uniform() == reference.uniform()
+
+
+@pytest.mark.parametrize(
+    "fraction, n, ess, fires",
+    [(0.5, 200, 80.0, True), (0.5, 200, 100.0, False),
+     (0.0, 200, 1.0, False), (0.0, 200, 10.0, False), (0.0, 200, 200.0, False),
+     (1.0, 200, 199.999, True), (1.0, 200, 200.0, False)]
+    # every kind of real scalar that ResamplePolicy accepts as the fraction
+    + [(fraction, 4, ess, fires)
+       for fraction in (1, 0.5, np.float32(0.5), np.int64(1), np.array(0.5))
+       for ess, fires in ((1.0, True), (4.0, False))],
+)
+def test_resample_fires_iff_ess_below_fraction_times_n(monkeypatch, fraction, n, ess, fires):
+    """The step resamples when its ESS < threshold_fraction * N, strictly: threshold 0
+    never fires and threshold 1 fires just below N but not at N."""
+    normalize = sir.normalize_weights
+    monkeypatch.setattr(sir, "normalize_weights", lambda lw: normalize(lw)[:3] + (ess,))
+    state = init(RW, GaussianPrior([0.0], [2.0]), n, RngStream(5), ResamplePolicy("systematic", fraction))
+    outcome = step(state, 0.0)
+    assert outcome.ess == ess
+    assert outcome.resampled is fires
 
 
 def test_nan_log_weight_raises_and_keeps_the_set():

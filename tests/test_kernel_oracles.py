@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from smcfilter import filter as sir
 from smcfilter.core import (
     AllWeightsCollapsed,
+    ArgumentError,
     ParticleSet,
     RngStream,
     normalize_weights,
@@ -74,7 +75,7 @@ def oracle_normalize_weights(log_weights):
     the shifted exponentials e."""
     m = np.max(log_weights)
     if m == -np.inf:
-        raise AllWeightsCollapsed("all log-weights are -inf")
+        raise AllWeightsCollapsed("log_weights", "are all -inf")
     shifted = np.exp(log_weights - m)
     total = shifted.sum()
     return shifted / total, float(total * (total / np.dot(shifted, shifted)))
@@ -235,7 +236,7 @@ class TestCheckedResamplers:
         with warnings.catch_warnings():
             # inf - inf in the sum warns; the weights are rejected all the same
             warnings.simplefilter("ignore", RuntimeWarning)
-            message = f"weights sum to {weights.sum()!r}, expected 1"
+            message = f"weights sum to {float(weights.sum())!r}, expected 1"
             with pytest.raises(NotNormalized) as info:
                 systematic_resample(weights, 1.5)  # u out of range, checked second
             assert str(info.value) == message
@@ -280,7 +281,7 @@ class TestFiniteGuard:
         before = state.set
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="particles must be finite"):
+            with pytest.raises(ArgumentError, match=r"^particles\[[01]\] must be finite, got "):
                 sir.step(state, 0.0, noise)
         assert state.set is before
 

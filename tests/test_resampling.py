@@ -9,7 +9,6 @@ from smcfilter.resampling import (
     ResamplePolicy,
     effective_sample_size,
     multinomial_resample,
-    should_resample,
     systematic_resample,
 )
 
@@ -171,28 +170,6 @@ class TestMultinomialResample:
         assert mean_count == pytest.approx(0.32 * 5, rel=0.03)
 
 
-class TestShouldResample:
-    def test_below_threshold_fires(self):
-        assert should_resample(ResamplePolicy("systematic", 0.5), 80.0, 200) is True
-
-    def test_boundary_is_strict(self):
-        assert should_resample(ResamplePolicy("systematic", 0.5), 100.0, 200) is False
-
-    def test_zero_threshold_disables(self):
-        policy = ResamplePolicy("systematic", 0.0)
-        for n_eff in (1.0, 10.0, 200.0):
-            assert should_resample(policy, n_eff, 200) is False
-
-    def test_threshold_one_recovers_unconditional(self):
-        policy = ResamplePolicy("systematic", 1.0)
-        assert should_resample(policy, 199.999, 200) is True
-        assert should_resample(policy, 200.0, 200) is False
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            should_resample(ResamplePolicy(), 1.0, 0)
-
-
 class TestResamplePolicy:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -222,9 +199,3 @@ class TestResamplePolicy:
             ResamplePolicy("systematic", bad)
         assert info.value.name == "threshold_fraction"
         assert info.value.rule == f"must be a real number, got {bad!r}"
-
-    @pytest.mark.parametrize("fraction", [1, 0.5, np.float32(0.5), np.int64(1), np.array(0.5)])
-    def test_real_scalar_fraction_accepted(self, fraction):
-        policy = ResamplePolicy("systematic", fraction)
-        assert should_resample(policy, 1.0, 4) is True
-        assert should_resample(policy, 4.0, 4) is False

@@ -33,6 +33,9 @@ RETIRED = {
         "keeps its weights normalizes its own log-weights in place with them; "
         "core.normalize still sees one normalize_weights call per step"
     ),
+    ("smcfilter.filter", "should_resample"): (
+        "compared inline in the step; its cost shows in filter.step self time"
+    ),
     ("smcfilter.sim", "predict_measurement"): (
         "run_scenario reads the sensor as model.h(truth) on the truth it "
         "built itself, with no state check or copy; its cost shows in "
