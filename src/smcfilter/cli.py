@@ -165,7 +165,7 @@ def parse_config(data: dict) -> RunConfig:
 def _read_json(path, kind: str):
     """The parsed JSON of the ``kind`` file at ``path``, a Path or a package resource."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
@@ -201,7 +201,7 @@ def write_trace_csv(path, trace: Trace, model) -> None:
         trace.ess, trace.resampled, trace.degenerate,
     ))
     row_format = "%d," + ",".join(["%.9g"] * (len(columns) - 3)) + ",%d,%d\n"
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(row_format % tuple(row) for row in table.tolist())
 
@@ -220,7 +220,7 @@ def write_particles_csv(path, trace: Trace, model) -> None:
     equal but print as 0 and -0."""
     columns = ["k", "i", "weight"] + list(model.state_labels)
     row_format = ",".join(["%.9g"] * (len(columns) - 2)) + "\n"
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for k in sorted(trace.snapshots):
             particles, weights = trace.snapshots[k]

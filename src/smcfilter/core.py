@@ -52,19 +52,24 @@ def real_array(name: str, value, error=ArgumentError) -> np.ndarray:
     the library; a float64 array comes back as itself. Raise ``error`` for
     argument ``name`` unless every element is a Python or numpy int or float
     (bool is none): "must be a real number" names the first other element by
-    its flat index, "must be finite" an integer beyond the float range."""
+    its flat index, "must be finite" the first integer beyond the float range."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         return np.asarray(value, dtype=float)
     obj = np.asarray(value, dtype=object)
-    for i, v in enumerate(obj.ravel().tolist()):
+    values = obj.ravel().tolist()
+    for i, v in enumerate(values):
         if not (is_integer(v) or isinstance(v, (float, np.floating))):
             if obj.ndim == 0:
                 raise error(name, f"must be a real number, got {shown(value)}")
             raise error(name, f"must be a real number, got {shown(v)}", i)
     try:
         return obj.astype(float)
-    except OverflowError:  # an integer beyond the float range
-        raise error(name, f"must be finite, got {shown(value)}") from None
+    except OverflowError:  # an integer beyond the float range: name the first
+        for i, v in enumerate(values):
+            try:
+                float(v)
+            except OverflowError:
+                raise error(name, f"must be finite, got {shown(v)}", i if obj.ndim else None) from None
 
 
 def check_arg(name: str, value, low=None, high=None, strict=False, integer=False,

@@ -178,7 +178,7 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     # the squares overflow, the exact test decides, and check_arg raises at
     # the first non-finite element.
     if not math.isfinite(np.vdot(predicted, predicted)) and not np.isfinite(predicted).all():
-        check_arg("particles", predicted)
+        check_arg("predicted", predicted)
 
     # Weight update in the log domain. The update adds into the likelihood's
     # fresh array instead of allocating another.

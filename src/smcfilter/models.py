@@ -32,13 +32,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _set_arrays(model, **arrays) -> None:
+    """Set each of ``arrays``, built from the floats check_arg returned, on the
+    frozen ``model`` as a read-only float64 array: once, at construction."""
+    for name, values in arrays.items():
+        object.__setattr__(model, name, _read_only(np.array(values, dtype=float)))
+
+
 class StateSpaceModel:
     """Contract shared by all models.
 
     Subclasses define ``state_dim`` (n), ``obs_dim`` (o), finite diagonal
     noise variances ``process_var`` (length n, >= 0) and ``meas_var``
-    (length o, > 0), the deterministic motion ``f(x)`` and the observation
-    map ``h(x)``. Instances are immutable after construction and safe for
+    (length o, > 0) as float arrays, set at construction or defined as
+    properties, the deterministic motion ``f(x)`` and the observation map
+    ``h(x)``. Instances are immutable after construction and safe for
     concurrent read-only use, so the constants derived from the variances
     are built once per instance.
     """
@@ -47,14 +55,8 @@ class StateSpaceModel:
     obs_dim: int
     state_labels: tuple[str, ...]
     obs_labels: tuple[str, ...]
-
-    @property
-    def process_var(self) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def meas_var(self) -> np.ndarray:
-        raise NotImplementedError
+    process_var: np.ndarray
+    meas_var: np.ndarray
 
     def f(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -95,16 +97,9 @@ class RandomWalk1D(StateSpaceModel):
     obs_labels = ("x",)
 
     def __post_init__(self):
-        check_arg("q", self.q, low=0.0, scalar=True)
-        check_arg("r", self.r, low=0.0, strict=True, scalar=True)
-
-    @cached_property
-    def process_var(self) -> np.ndarray:
-        return _read_only(np.array([self.q]))
-
-    @cached_property
-    def meas_var(self) -> np.ndarray:
-        return _read_only(np.array([self.r]))
+        q = check_arg("q", self.q, low=0.0, scalar=True)
+        r = check_arg("r", self.r, low=0.0, strict=True, scalar=True)
+        _set_arrays(self, process_var=[q], meas_var=[r])
 
     def f(self, x):
         return np.asarray(x, dtype=float).copy()
@@ -136,38 +131,23 @@ class ConstantVelocity2D(StateSpaceModel):
     obs_labels = ("px", "py")
 
     def __post_init__(self):
-        for name in ("dt", "q_pos", "q_vel"):
-            check_arg(name, getattr(self, name), low=0.0, scalar=True)
-        check_arg("r_meas", self.r_meas, low=0.0, strict=True, scalar=True)
-
-    @cached_property
-    def _transition_t(self) -> np.ndarray:
-        """The transposed transition matrix, so that f(x) = x @ F.T."""
-        dt = self.dt
-        transition = np.array(
-            [
-                [1.0, 0.0, dt, 0.0],
-                [0.0, 1.0, 0.0, dt],
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-            ]
-        )
-        return _read_only(transition).T
-
-    @cached_property
-    def process_var(self) -> np.ndarray:
-        return _read_only(np.array([self.q_pos, self.q_pos, self.q_vel, self.q_vel]))
-
-    @cached_property
-    def meas_var(self) -> np.ndarray:
-        return _read_only(np.array([self.r_meas, self.r_meas]))
+        dt, q_pos, q_vel = (check_arg(name, getattr(self, name), low=0.0, scalar=True)
+                            for name in ("dt", "q_pos", "q_vel"))
+        r = check_arg("r_meas", self.r_meas, low=0.0, strict=True, scalar=True)
+        # _transition is the transition matrix F, so that f(x) = x @ F.T
+        _set_arrays(self, process_var=[q_pos, q_pos, q_vel, q_vel], meas_var=[r, r], _transition=[
+            [1.0, 0.0, dt, 0.0],
+            [0.0, 1.0, 0.0, dt],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ])
 
     def f(self, x):
         # Near the largest double, p + v dt can overflow. The inf (or NaN) it
         # leaves is rejected by the filter step's finite guard, which raises
         # in place of the warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.asarray(x, dtype=float) @ self._transition_t
+            return np.asarray(x, dtype=float) @ self._transition.T
 
     def h(self, x):
         """Read-only view of the position components of x."""

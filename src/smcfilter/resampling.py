@@ -33,7 +33,9 @@ class ResamplePolicy:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ArgumentError("scheme", f"must be one of {SCHEMES}, got {shown(self.scheme)}")
-        check_arg("threshold_fraction", self.threshold_fraction, low=0.0, high=1.0, scalar=True)
+        fraction = check_arg("threshold_fraction", self.threshold_fraction, low=0.0, high=1.0,
+                             scalar=True)
+        object.__setattr__(self, "threshold_fraction", float(fraction))
 
 
 def _require_sum(total) -> None:

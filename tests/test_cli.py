@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -376,6 +379,18 @@ class TestRunCommand:
         digits = value.replace("-", "").replace(".", "").lstrip("0")
         assert len(digits) <= 9
 
+    def test_text_files_opened_as_utf8(self, tmp_path):
+        # with the warning an error, a text open that leaves the encoding to
+        # the locale stops the command
+        config = write_config(tmp_path, sample_config())
+        python = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                  "-m", "smcfilter.cli"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        for args in (["run", "--config", config, "--out", str(tmp_path / "trace.csv"),
+                      "--dump-particles", "0,9"], ["golden", "ch4_k1.json"]):
+            done = subprocess.run(python + args, env=env, capture_output=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, b"")
+
 
 def reference_write_particles_csv(path, trace, model) -> None:
     """The row-at-a-time particle writer: every row formatted on its own."""
@@ -538,6 +553,15 @@ class TestGoldenCommand:
         err = capsys.readouterr().err
         # one line, under the field's path
         assert re.match(rf"error: {field}(\.\w+|\[\d+\])?: ", err) and err.count("\n") == 1
+
+    def test_overflowing_prediction_is_reported_as_predicted(self, tmp_path, capsys):
+        # both fields are finite; their sum, the step's predicted particle, is not
+        fixture = json.loads(cli._bundled_fixture("ch4_k1.json").read_text())
+        fixture["initial_particles"] = fixture["noises"] = [0.0, 1.5e308, 0.0, 0.0, 0.0]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(fixture))
+        assert cli.main(["golden", str(path)]) == 2
+        assert capsys.readouterr().err == "error: predicted[1]: must be finite, got inf\n"
 
     def test_expected_length_mismatch_is_reported(self, tmp_path, capsys):
         fixture = json.loads(cli._bundled_fixture("ch4_k1.json").read_text())

@@ -97,7 +97,7 @@ class TestNormalizeWeights:
         "bad, rule, index",
         [([0.0, True], "must be a real number, got True", 1),
          (["0.0"], "must be a real number, got '0.0'", 0),
-         ([0.0, 10**400], "must be finite", None)],
+         ([0.0, 10**400], "must be finite, got <1329-bit int>", 1)],
         ids=["bool", "str", "int-beyond-float"],
     )
     def test_non_number_rejected(self, bad, rule, index):
@@ -293,7 +293,7 @@ class TestParticleSet:
 
     @pytest.mark.parametrize(
         "particles, log_weights, name, rule, index",
-        [([10**400], [0.0], "particles", "must be finite", None),
+        [([10**400], [0.0], "particles", "must be finite, got <1329-bit int>", 0),
          ([0.0, True], [0.0, 0.0], "particles", "must be a real number, got True", 1),
          ([[0.0], ["1.0"]], [0.0, 0.0], "particles", "must be a real number, got '1.0'", 1),
          ([0.0, 0.0], [0.0, False], "log_weights", "must be a real number, got False", 1),
@@ -342,9 +342,7 @@ class TestRealArray:
         cloud[-1] = 10**400
         with pytest.raises(ArgumentError) as info:
             ParticleSet.uniform(cloud)
-        message = str(info.value)
-        assert message.startswith("particles must be finite, got [0.0, 0.0,")
-        assert "\n" not in message and len(message) < 120
+        assert str(info.value) == "particles[99999] must be finite, got <1329-bit int>"
 
 
 class TestCheckArg:

@@ -67,6 +67,8 @@ CASES = {
     "log-weights-length": (lambda: ParticleSet([0.0, 1.0], [0.0]), ArgumentError, "log_weights", None),
     "log-weights-inf": (lambda: ParticleSet([0.0, 1.0], [0.0, np.inf]), ArgumentError, "log_weights", 1),
     "uniform-scalar": (lambda: ParticleSet.uniform(1.0), ArgumentError, "particles", None),
+    "uniform-int-overflow": (lambda: ParticleSet.uniform([0.0] * 5 + [10**400]),
+                             ArgumentError, "particles", 5),
     "normalize-empty": (lambda: normalize_weights([]), ArgumentError, "log_weights", None),
     "normalize-collapsed": (lambda: normalize_weights([-np.inf, -np.inf]),
                             AllWeightsCollapsed, "log_weights", None),
@@ -101,7 +103,7 @@ CASES = {
     "step-particle-length": (lambda: sir.step(rw_state(np.zeros((3, 2))), 0.0),
                              DimensionMismatch, "particles", None),
     "step-particle-overflow": (lambda: sir.step(rw_state([0.0, 1.5e308, 0.0]), 0.0, [0.0, 1.5e308, 0.0]),
-                               ArgumentError, "particles", 1),
+                               ArgumentError, "predicted", 1),
     "step-weights-nan": (lambda: sir.step(nan_weight_state(), 0.0), NotNormalized, "weights", None),
     "scenario-horizon": (lambda: Scenario(RW, 0, PRIOR, [0.0], 10), ArgumentError, "t_steps", None),
     "scenario-truth": (lambda: Scenario(RW, 5, PRIOR, [0.0, 0.0], 10),

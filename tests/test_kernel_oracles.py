@@ -281,7 +281,7 @@ class TestFiniteGuard:
         before = state.set
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArgumentError, match=r"^particles\[[01]\] must be finite, got "):
+            with pytest.raises(ArgumentError, match=r"^predicted\[[01]\] must be finite, got "):
                 sir.step(state, 0.0, noise)
         assert state.set is before
 

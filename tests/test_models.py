@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from smcfilter.core import ArgumentError
+from smcfilter.filter import GaussianPrior
 from smcfilter.models import (
     ConstantVelocity2D,
     DimensionMismatch,
@@ -13,6 +14,7 @@ from smcfilter.models import (
     log_likelihood,
     propagate,
 )
+from smcfilter.sim import Scenario, run_scenario
 
 RW = RandomWalk1D(q=1.0, r=4.0)
 CV = ConstantVelocity2D(dt=1.0, q_pos=0.2, q_vel=0.05, r_meas=2.0)
@@ -82,14 +84,26 @@ class TestConstruction:
         assert info.value.name == name
         assert info.value.rule == f"must be a real number, got {bad!r}"
 
-    @pytest.mark.parametrize(
-        "value", [2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2), np.array(2.0)]
-    )
-    @pytest.mark.parametrize("cls, name", PARAMETERS)
+    # every kind of real scalar: a 0-d float32 array and an int beyond int64
+    # included, each standing for the Python float that check_arg makes of it
+    ACCEPTED = [(cls, name, value) for cls, name in PARAMETERS
+                for value in (2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2), np.array(2.0),
+                              np.array(0.75, dtype=np.float32), 2**70 if name == "dt" else 10**30)]
+
+    @pytest.mark.parametrize("cls, name, value", ACCEPTED)
     def test_real_scalar_parameter_accepted(self, cls, name, value):
-        model = cls(**{name: value})
+        model, plain = cls(**{name: value}), cls(**{name: float(value)})
+        assert getattr(model, name) is value
         assert model.process_var.shape == (model.state_dim,)
         assert model.meas_var.shape == (model.obs_dim,)
+        for array in (model.process_var, model.meas_var):
+            assert array.dtype == np.float64 and not array.flags.writeable
+        assert model.f(np.ones(model.state_dim)).dtype == np.float64
+        n = model.state_dim
+        traces = [run_scenario(Scenario(m, 5, GaussianPrior(np.zeros(n), np.ones(n)), np.ones(n), 20), 3)
+                  for m in (model, plain)]
+        for column in ("truth", "estimate", "ess"):
+            assert np.array_equal(getattr(traces[0], column), getattr(traces[1], column))
 
     def test_zero_variances_and_dt_allowed(self):
         assert RandomWalk1D(q=0.0).q == 0.0
@@ -161,8 +175,8 @@ class TestPropagate:
 
     @pytest.mark.parametrize(
         "x, noise, name, index",
-        [([10**400], [0.0], "x", None), ([True], [0.0], "x", 0), ("1.0", [0.0], "x", None),
-         ([0.0], [10**400], "noise", None), ([0.0], [False], "noise", 0),
+        [([10**400], [0.0], "x", 0), ([True], [0.0], "x", 0), ("1.0", [0.0], "x", None),
+         ([0.0], [10**400], "noise", 0), ([0.0], [False], "noise", 0),
          ([[0.0], [1.0]], [[0.0], ["0.5"]], "noise", 1)],
     )
     def test_non_number_rejected(self, x, noise, name, index):
@@ -260,7 +274,7 @@ class TestLogLikelihood:
 
     @pytest.mark.parametrize(
         "x, index",
-        [([10**400], None), ([[0.0], [True]], 1), ([["0.0"]], 0), (None, None)],
+        [([10**400], 0), ([[0.0], [True]], 1), ([["0.0"]], 0), (None, None)],
         ids=["int-beyond-float", "bool", "str", "None"],
     )
     def test_non_number_state_rejected(self, x, index):

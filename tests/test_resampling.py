@@ -55,7 +55,7 @@ class TestEffectiveSampleSize:
 
     @pytest.mark.parametrize(
         "bad, index",
-        [([0.0, 10**400], None), ([True, False], 0), (["0.5", "0.5"], 0), ([0.5, None], 1)],
+        [([0.0, 10**400], 1), ([True, False], 0), (["0.5", "0.5"], 0), ([0.5, None], 1)],
         ids=["int-beyond-float", "bool", "str", "None"],
     )
     def test_non_number_weights_rejected(self, bad, index):

@@ -265,7 +265,7 @@ class TestRmse:
     @pytest.mark.parametrize(
         "a, b, name, index",
         [([1.0, True], [1.0, 1.0], "a", 1), ([0.0], ["0.0"], "b", 0),
-         ([0.0], [10**400], "b", None)],
+         ([0.0], [10**400], "b", 0)],
     )
     def test_non_number_rejected(self, a, b, name, index):
         with pytest.raises(ArgumentError) as info:
