@@ -125,17 +125,20 @@ class RngStream:
     def seed(self) -> int:
         return self._seed
 
-    def standard_normal(self, shape=None):
-        """Standard-normal draw; scalar when shape is None."""
-        if shape is None:
+    def standard_normal(self, shape=None, out=None):
+        """Standard-normal draw; scalar when shape and out are None. Given
+        ``out``, a float64 array of that shape, the draws fill it and it is
+        returned, with the values a fresh array would hold."""
+        if shape is None and out is None:
             return float(self._gen.standard_normal())
-        return self._gen.standard_normal(shape)
+        return self._gen.standard_normal(shape, out=out)
 
-    def uniform(self, shape=None):
-        """Uniform draw on [0, 1); scalar when shape is None."""
-        if shape is None:
+    def uniform(self, shape=None, out=None):
+        """Uniform draw on [0, 1); scalar when shape and out are None. ``out``
+        works as for standard_normal."""
+        if shape is None and out is None:
             return float(self._gen.random())
-        return self._gen.random(shape)
+        return self._gen.random(shape, out=out)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self._seed})"
@@ -210,7 +213,7 @@ def _ess(e: np.ndarray, s) -> float:
     return float(s * (s / np.vdot(e, e)))
 
 
-def normalize_weights(log_weights) -> tuple[np.ndarray, float, float, float]:
+def normalize_weights(log_weights, out=None) -> tuple[np.ndarray, float, float, float]:
     """Normalize log-weights: (w, m, s, ess) with m = max(lw),
     s = sum(exp(lw - m)), the linear weights w = exp(lw - m) / s and their
     effective sample size ess = s * (s / sum(exp(lw - m)^2)) (see _ess).
@@ -222,6 +225,8 @@ def normalize_weights(log_weights) -> tuple[np.ndarray, float, float, float]:
     The normalized log-weights are (lw - m) - log(s), subtracted in that
     order: for |m| beyond ~1e16, m + log(s) rounds to m and lw - (m + log(s))
     would no longer be normalized (Blanchard, Higham & Higham 2021).
+    ``out``, a float64 array of lw's shape, receives w in place of a fresh
+    array; it may be lw itself.
     """
     lw = real_array("log_weights", log_weights)
     if lw.size < 1:
@@ -229,7 +234,7 @@ def normalize_weights(log_weights) -> tuple[np.ndarray, float, float, float]:
     m = lw.max()
     if m == -np.inf:
         raise AllWeightsCollapsed("log_weights", "are all -inf")
-    w = lw - m
+    w = np.subtract(lw, m, out)
     np.exp(w, out=w)
     s = w.sum()
     ess = _ess(w, s)

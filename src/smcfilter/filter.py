@@ -11,7 +11,7 @@ place and return a StepOutcome with the step's estimate and diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,13 @@ from .models import DimensionMismatch, check_measurement
 # names, these aliases go.
 from .models import _log_likelihood as log_likelihood
 from .models import _propagate as propagate
-from .resampling import NotNormalized, ResamplePolicy, multinomial_resample, systematic_resample
+from .resampling import (
+    NotNormalized,
+    ResamplePolicy,
+    ResampleScratch,
+    multinomial_resample,
+    systematic_resample,
+)
 
 ESTIMATORS = ("weighted_mean", "map")
 
@@ -67,15 +73,80 @@ class GaussianPrior:
         return self.mean.shape[0]
 
 
+# The noise scale multiplies an (N, n) draw in rows of this many elements,
+# so that numpy's inner loop runs over a whole row and not over n.
+_TILE = 256
+
+
+class _Workspace:
+    """The arrays a FilterState's steps write into, for N particles of length
+    n, so that a step makes no particle-sized array but model.f's output.
+
+    Three (N, n) particle buffers rotate between the current cloud, the
+    prediction and a spare that takes the noise draw, then the resampled
+    cloud; two (N,) log-weight buffers alternate. Each buffer is allocated
+    when a step first needs it (see _free). ``search`` holds the
+    normalized weights (as its cumsum, which a resample overwrites) and the
+    likelihood's later columns (as its keys). ``kept`` is the pair of arrays
+    the last step returned, which the next step leaves intact.
+    """
+
+    def __init__(self, owner: "FilterState", n_particles: int, dim: int):
+        self.owner = id(owner)
+        self.shape = (n_particles, dim)
+        self.particles: list = []
+        self.log_weights: list = []
+        self.search = ResampleScratch(n_particles)
+        self.indices = np.empty(n_particles, dtype=np.intp)
+        self.log_uniform = -np.log(n_particles)
+        self.uniform = 1.0 / n_particles
+        self.kept = (None, None)
+        self._tile_std = self._tile = None
+
+    def scale(self, noises: np.ndarray, std: np.ndarray) -> None:
+        """noises *= std, for (N, n) noises in C order, n > 1: the flat noise
+        is multiplied in rows against a tile of std repeated to about _TILE
+        elements, the same elementwise products."""
+        if self._tile_std is not std:
+            self._tile_std, self._tile = std, np.tile(std, max(1, _TILE // std.size))
+        tile = self._tile
+        flat = noises.reshape(-1)
+        whole = flat.size - flat.size % tile.size
+        rows = flat[:whole].reshape(-1, tile.size)
+        rows *= tile
+        flat[whole:] *= tile[: flat.size - whole]
+
+
+def _free(buffers: list, most: int, count: int, kept, current) -> list:
+    """``count`` of ``buffers`` that hold neither ``kept`` nor ``current``,
+    the latter judged by memory overlap when it is not ``kept`` (a caller's
+    set, or a view). Fresh arrays make up a shortfall and join ``buffers``
+    while it has fewer than ``most``, so a buffer that only a later step
+    needs is not yet allocated while the caller's set is alive."""
+    free = [b for b in buffers
+            if b is not kept and (current is kept or not np.may_share_memory(b, current))]
+    while len(free) < count:
+        free.append(np.empty(current.shape))
+        if len(buffers) < most:
+            buffers.append(free[-1])
+    return free[:count]
+
+
 @dataclass
 class FilterState:
-    """Everything one filtering run carries between steps."""
+    """Everything one filtering run carries between steps.
+
+    The arrays of the set a step returns stay intact through the next step;
+    the step after that overwrites them (see _Workspace). A set the caller
+    builds is only ever read.
+    """
 
     set: ParticleSet
     model: object
     policy: ResamplePolicy
     rng: RngStream
     estimator: str = "weighted_mean"
+    _workspace: _Workspace | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -147,30 +218,45 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     or N uniform draws (multinomial). The estimate is computed after any
     resampling. Caller ``noises``, one process noise per particle, replace
     the normal draws to replay worked fixtures; resampling still draws.
+    The new set's arrays are the state's own buffers, intact through the
+    next step and overwritten by the one after (see FilterState).
     """
     _check_estimator(state.estimator)
     model = state.model
     pset = state.set
+    x = pset.particles
     n = pset.n_particles
     if pset.dim != model.state_dim:
         raise DimensionMismatch("particles", f"have length {pset.dim}, model expects {model.state_dim}")
     z = check_measurement(model, z)
-    if noises is None:
-        noises = state.rng.standard_normal((n, pset.dim))
-        noises *= model.process_std
-        predicted = propagate(model, pset.particles, noises)
-    else:
+    if noises is not None:
         noises = real_array("noises", noises)
         if noises.ndim == 1:
             noises = noises[:, np.newaxis]
-        if noises.shape != pset.particles.shape:
-            raise DimensionMismatch("noises", f"shape {noises.shape}, expected {pset.particles.shape}")
+        if noises.shape != x.shape:
+            raise DimensionMismatch("noises", f"shape {noises.shape}, expected {x.shape}")
+    # A copied FilterState builds its own workspace rather than share one.
+    work = state._workspace
+    if work is None or work.owner != id(state) or work.shape != x.shape:
+        work = state._workspace = _Workspace(state, *x.shape)
+    kept_particles, kept_log_weights = work.kept
+    predicted, spare = _free(work.particles, 3, 2, kept_particles, x)
+    (log_w,) = _free(work.log_weights, 2, 1, kept_log_weights, pset.log_weights)
+
+    if noises is None:
+        noises = state.rng.standard_normal(x.shape, spare)
+        if pset.dim == 1:
+            noises *= model.process_std
+        else:
+            work.scale(noises, model.process_std)
+        predicted = propagate(model, x, noises, predicted)
+    else:
         # Caller noise can be large enough for f(x) + noise to overflow;
         # drawn noise cannot (sqrt(Q) times a normal draw stays far below
         # half an ulp of the largest double). The inf it leaves is rejected
         # by the finite guard below.
         with np.errstate(over="ignore"):
-            predicted = propagate(model, pset.particles, noises)
+            predicted = propagate(model, x, noises, predicted)
 
     # A sum of squares is finite only if every particle is. np.vdot takes it
     # in one pass with no temporary and, unlike a numpy sum, warns of no
@@ -180,13 +266,13 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     if not math.isfinite(np.vdot(predicted, predicted)) and not np.isfinite(predicted).all():
         check_arg("predicted", predicted)
 
-    # Weight update in the log domain. The update adds into the likelihood's
-    # fresh array instead of allocating another.
-    log_w = log_likelihood(model, z, predicted)
+    # Weight update in the log domain, in the workspace's arrays.
+    search = work.search
+    log_w = log_likelihood(model, z, predicted, log_w, search.keys[:n])
     log_w += pset.log_weights
     degenerate = False
     try:
-        weights, m, s, ess = normalize_weights(log_w)
+        weights, m, s, ess = normalize_weights(log_w, search.cumsum)
     except AllWeightsCollapsed:
         # Recover instead of aborting: reset to uniform and flag the event.
         # Uniform weights have ESS = N, so the reset never resamples.
@@ -198,16 +284,19 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     resampled = bool(ess < state.policy.threshold_fraction * n)
     if resampled:
         if state.policy.scheme == "systematic":
-            indices = systematic_resample(weights, state.rng.uniform())
+            indices = systematic_resample(weights, state.rng.uniform(), work.indices, search)
         else:
-            indices = multinomial_resample(weights, state.rng)
-        predicted = predicted.take(indices, axis=0)
+            indices = multinomial_resample(weights, state.rng, search)
+        # indices are in range, so "clip" changes none; it spares take the
+        # buffered copy it makes of out under the default "raise"
+        predicted = predicted.take(indices, 0, spare, "clip")
     # Resampling and a collapse both reset the weights to uniform. A step
     # that keeps them normalizes its own array in place, (lw - m) - log(s)
     # in that order (see normalize_weights).
     if resampled or degenerate:
-        log_w = np.full(n, -np.log(n))
-        weights = np.full(n, 1.0 / n)
+        log_w.fill(work.log_uniform)
+        weights = search.cumsum
+        weights.fill(work.uniform)
     else:
         log_w -= m
         log_w -= np.log(s)
@@ -219,4 +308,5 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     else:
         estimate = weighted_mean(predicted, weights)
     state.set = ParticleSet._trusted(predicted, log_w)
+    work.kept = predicted, log_w
     return StepOutcome(estimate=estimate, ess=ess, resampled=resampled, degenerate=degenerate)

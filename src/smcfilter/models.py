@@ -180,10 +180,12 @@ def propagate(model, x, noise) -> np.ndarray:
     return _propagate(model, x, noise)
 
 
-def _propagate(model, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+def _propagate(model, x: np.ndarray, noise: np.ndarray, out=None) -> np.ndarray:
     """propagate without its checks: x a float (n,) or (N, n) array of the
-    model's state length, noise a float array of the same shape."""
-    return model.f(x) + noise
+    model's state length, noise a float array of the same shape. ``out``, a
+    float64 array of that shape, receives f(x) + noise in place of a fresh
+    array."""
+    return np.add(model.f(x), noise, out)
 
 
 def check_measurement(model, z) -> np.ndarray:
@@ -214,10 +216,12 @@ def log_likelihood(model, z, x):
     return float(ll) if ll.ndim == 0 else ll
 
 
-def _log_likelihood(model, z: np.ndarray, x: np.ndarray):
+def _log_likelihood(model, z: np.ndarray, x: np.ndarray, out=None, scratch=None):
     """log_likelihood without its checks: z as check_measurement returns it,
     x a float (n,) or (N, n) array of the model's state length. Returns a
-    numpy scalar for a single state, an (N,) array for a batch."""
+    numpy scalar for a single state, an (N,) array for a batch. For a batch,
+    ``out`` receives the result and ``scratch`` holds each later observation
+    column, both float64 (N,) arrays, in place of fresh arrays."""
     var = model.meas_var
     log_norm = model.meas_log_norm
     hx = model.h(x)
@@ -227,7 +231,7 @@ def _log_likelihood(model, z: np.ndarray, x: np.ndarray):
     # For o <= 2 the result is bit-identical to that sum (a + b == b + a).
     with np.errstate(over="ignore"):
         for j in range(model.obs_dim):
-            r = z[j] - hx[..., j]
+            r = np.subtract(z[j], hx[..., j], scratch if j else out)
             r *= r
             r /= var[j]
             r += log_norm[j]

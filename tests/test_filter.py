@@ -1,3 +1,5 @@
+import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -469,7 +471,7 @@ def test_resample_fires_iff_ess_below_fraction_times_n(monkeypatch, fraction, n,
     """The step resamples when its ESS < threshold_fraction * N, strictly: threshold 0
     never fires and threshold 1 fires just below N but not at N."""
     normalize = sir.normalize_weights
-    monkeypatch.setattr(sir, "normalize_weights", lambda lw: normalize(lw)[:3] + (ess,))
+    monkeypatch.setattr(sir, "normalize_weights", lambda lw, *out: normalize(lw, *out)[:3] + (ess,))
     policy = ResamplePolicy("systematic", fraction)
     # the policy keeps the float its check returns
     plain = ResamplePolicy("systematic", float(fraction))
@@ -559,3 +561,99 @@ def test_given_noises_replay_the_drawn_step_bit_for_bit(model, scheme, estimator
         fired.append(want.resampled)
     # the thresholds cover resampling never, on some steps and on every step
     assert sum(fired) in {0.0: {0}, 0.5: {1, 2, 3, 4}, 1.0: {5}}[threshold]
+
+
+CV = ConstantVelocity2D()
+CV_PRIOR = GaussianPrior([0.0] * 4, [2.0] * 4)
+
+
+def _arrays(pset):
+    return pset.particles.copy(), pset.log_weights.copy()
+
+
+def _unchanged(pset, arrays):
+    particles, log_weights = arrays
+    return (np.array_equal(pset.particles, particles)
+            and np.array_equal(pset.log_weights, log_weights, equal_nan=True))
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+@pytest.mark.parametrize("scheme", ["systematic", "multinomial"])
+class TestStorageContract:
+    """A step writes into its state's workspace: the set a step returns stays
+    intact through the next step, and what the caller built is only read."""
+
+    def test_caller_set_and_noises_are_only_read(self, scheme, threshold):
+        state = init(CV, CV_PRIOR, 60, RngStream(4), ResamplePolicy(scheme, threshold))
+        step(state, [0.5, 0.5])
+        caller = ParticleSet(RngStream(8).standard_normal((60, 4)), np.full(60, -np.log(60)))
+        noises = RngStream(9).standard_normal((60, 4))
+        kept, kept_noises = _arrays(caller), noises.copy()
+        state.set = caller
+        step(state, [1.0, 0.0], noises)
+        for k in range(2):
+            step(state, [0.3 * k, 1.0])
+        assert _unchanged(caller, kept)
+        assert np.array_equal(noises, kept_noises)
+
+    def test_returned_set_survives_the_next_step(self, scheme, threshold):
+        state = init(CV, CV_PRIOR, 60, RngStream(4), ResamplePolicy(scheme, threshold))
+        for k in range(4):
+            step(state, [0.4 * k, -0.2 * k])
+            returned = state.set
+            kept = _arrays(returned)
+            step(state, [0.4 * k + 0.2, 0.1])
+            assert _unchanged(returned, kept)
+
+    def test_rejected_step_keeps_the_set(self, scheme, threshold):
+        state = init(CV, CV_PRIOR, 60, RngStream(4), ResamplePolicy(scheme, threshold))
+        step(state, [0.5, 0.5])
+        kept = _arrays(state.set)
+        noises = np.zeros((60, 4))
+        noises[7, 2] = np.inf
+        with pytest.raises(ArgumentError, match=r"^predicted\[30\] must be finite"):
+            step(state, [0.5, 0.5], noises)
+        assert _unchanged(state.set, kept)
+        state.set.log_weights[3] = np.nan
+        kept = _arrays(state.set)
+        with pytest.raises(NotNormalized):
+            step(state, [0.5, 0.5])
+        assert _unchanged(state.set, kept)
+
+
+def test_copied_state_steps_on_its_own_arrays():
+    """copy.copy shares the workspace field; the copy builds its own, so the
+    two states step as two independent runs would."""
+    policy = ResamplePolicy("systematic", 1.0)
+    a, b = (init(CV, CV_PRIOR, 50, RngStream(6), policy) for _ in range(2))
+    step(a, [0.1, 0.2])
+    step(b, [0.1, 0.2])
+    twin = copy.copy(a)
+    twin.rng = RngStream(7)
+    for k in range(3):
+        z = [0.3 * k, 0.1 * k]
+        step(twin, z)
+        step(a, z)
+        step(b, z)
+        assert np.array_equal(a.set.particles, b.set.particles)
+        assert np.array_equal(a.set.log_weights, b.set.log_weights)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_warm_step_allocates_only_the_motion_output(threshold):
+    """After two warm-up steps a systematic step allocates nothing
+    particle-sized but model.f's (N, n) output: its traced peak above its
+    start stays within 8·N·n bytes and 64 KiB."""
+    n = 20_000
+    state = init(CV, CV_PRIOR, n, RngStream(2), ResamplePolicy("systematic", threshold))
+    for k in range(2):
+        step(state, [0.2 * k, 0.1])
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        outcome = step(state, [0.5, 0.2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.resampled == (threshold == 1.0)
+    assert peak - start <= 8 * n * CV.state_dim + 64 * 1024

@@ -5,8 +5,13 @@ from hypothesis import strategies as st
 
 from smcfilter.core import ArgumentError, RngStream
 from smcfilter.resampling import (
+    _BELOW_ONE,
+    CLOSED_FORM_MIN_N,
     NotNormalized,
     ResamplePolicy,
+    ResampleScratch,
+    _checked_cumsum,
+    _closed_form_search,
     effective_sample_size,
     multinomial_resample,
     systematic_resample,
@@ -138,6 +143,66 @@ class TestSystematicResample:
         np.testing.assert_array_equal(
             systematic_resample(np.array([1.0, 0.0]), u), [0, 0]
         )
+
+
+def searchsorted_reference(weights, u):
+    """The systematic search as a binary search: the pinned cumulative sum
+    searched for the positions (i + u) / N, the last pulled below 1."""
+    cumsum = np.cumsum(weights)
+    cumsum[-1] = 1.0
+    n = cumsum.size
+    positions = (np.arange(n) + u) / n
+    positions[-1] = min(positions[-1], np.nextafter(1.0, 0.0))
+    return cumsum.searchsorted(positions, side="right")
+
+
+@st.composite
+def shaped_weights(draw, sizes):
+    """Normalized weights of a drawn size and shape: ties and exact zeros
+    give runs of equal cumulative sums, all-equal weights put positions
+    exactly on them."""
+    n = draw(sizes)
+    shape = draw(st.sampled_from(["random", "ties", "sparse", "one-hot", "all-equal", "peaked"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = {
+        "random": lambda: rng.random(n),
+        "ties": lambda: rng.integers(0, 4, n).astype(float),
+        "sparse": lambda: np.where(rng.random(n) < 0.01, rng.random(n), 0.0),
+        "one-hot": lambda: np.eye(1, n, int(rng.integers(n)))[0],
+        "all-equal": lambda: np.ones(n),
+        "peaked": lambda: np.exp(rng.normal(0.0, 4.0, n)),
+    }[shape]()
+    if not w.any():
+        w[rng.integers(n)] = 1.0
+    return w / w.sum()
+
+
+OFFSETS = st.sampled_from([0.0, _BELOW_ONE]) | st.floats(0.0, 1.0, exclude_max=True)
+AROUND_CROSSOVER = st.sampled_from([CLOSED_FORM_MIN_N - 1, CLOSED_FORM_MIN_N]) | st.integers(
+    CLOSED_FORM_MIN_N // 2, 2 * CLOSED_FORM_MIN_N)
+
+
+class TestClosedFormSearch:
+    """From CLOSED_FORM_MIN_N weights on, systematic_resample solves for its
+    indices in closed form; they must be searchsorted's, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(shaped_weights(AROUND_CROSSOVER), OFFSETS)
+    def test_matches_searchsorted_on_both_sides_of_the_crossover(self, w, u):
+        expected = searchsorted_reference(w, u)
+        np.testing.assert_array_equal(systematic_resample(w, u), expected)
+        # in the caller's arrays, the weights being the scratch's cumsum
+        n = w.size
+        scratch, out = ResampleScratch(n), np.empty(n, dtype=np.intp)
+        scratch.cumsum[:] = w
+        assert systematic_resample(scratch.cumsum, u, out, scratch) is out
+        np.testing.assert_array_equal(out, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shaped_weights(st.integers(1, 300)), OFFSETS)
+    def test_matches_searchsorted_at_any_size(self, w, u):
+        got = _closed_form_search(_checked_cumsum(w), u, None, ResampleScratch(w.size))
+        np.testing.assert_array_equal(got, searchsorted_reference(w, u))
 
 
 class TestMultinomialResample:
