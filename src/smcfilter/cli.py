@@ -187,6 +187,11 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+# Rows of a trace or a particle dump formatted and written at a time: the
+# writer's memory stays the same whatever T or N is.
+_BLOCK_ROWS = 2048
+
+
 def write_trace_csv(path, trace: Trace, model) -> None:
     """Fixed column order: k, truth_*, meas_*, est_*, ess, resampled, degenerate."""
     columns = (
@@ -203,12 +208,8 @@ def write_trace_csv(path, trace: Trace, model) -> None:
     row_format = "%d," + ",".join(["%.9g"] * (len(columns) - 3)) + ",%d,%d\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(row_format % tuple(row) for row in table.tolist())
-
-
-# Rows of a particle dump formatted and written at a time: the writer's
-# memory stays the same whatever N is.
-_BLOCK_ROWS = 2048
+        for start in range(0, len(table), _BLOCK_ROWS):
+            fh.writelines(row_format % tuple(row) for row in table[start:start + _BLOCK_ROWS].tolist())
 
 
 def write_particles_csv(path, trace: Trace, model) -> None:

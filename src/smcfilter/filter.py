@@ -80,15 +80,20 @@ _TILE = 256
 
 class _Workspace:
     """The arrays a FilterState's steps write into, for N particles of length
-    n, so that a step makes no particle-sized array but model.f's output.
+    n, so that a step of a model with ``_f`` (see models._propagate) makes no
+    particle-sized array; another model's f output is the one it makes.
 
     Three (N, n) particle buffers rotate between the current cloud, the
-    prediction and a spare that takes the noise draw, then the resampled
-    cloud; two (N,) log-weight buffers alternate. Each buffer is allocated
-    when a step first needs it (see _free). ``search`` holds the
-    normalized weights (as its cumsum, which a resample overwrites) and the
-    likelihood's later columns (as its keys). ``kept`` is the pair of arrays
-    the last step returned, which the next step leaves intact.
+    prediction, which model._f fills before the noise is added in place,
+    and a spare that takes the noise draw, then the resampled cloud; two
+    (N,) log-weight buffers alternate. Each buffer is allocated when a step
+    first needs it (see _free). ``search`` holds the normalized weights (as
+    its cumsum, which a resample overwrites) and the likelihood's later
+    columns (as its keys). ``kept`` is the pair of arrays the last step
+    returned, which the next step leaves intact, and ``free`` the particle
+    pair and the log-weight buffer that a step from ``kept`` writes into,
+    once all five buffers exist; a step from a set the caller assigned looks
+    its buffers up by memory overlap instead.
     """
 
     def __init__(self, owner: "FilterState", n_particles: int, dim: int):
@@ -101,6 +106,7 @@ class _Workspace:
         self.log_uniform = -np.log(n_particles)
         self.uniform = 1.0 / n_particles
         self.kept = (None, None)
+        self.free = None
         self._tile_std = self._tile = None
 
     def scale(self, noises: np.ndarray, std: np.ndarray) -> None:
@@ -240,8 +246,12 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     if work is None or work.owner != id(state) or work.shape != x.shape:
         work = state._workspace = _Workspace(state, *x.shape)
     kept_particles, kept_log_weights = work.kept
-    predicted, spare = _free(work.particles, 3, 2, kept_particles, x)
-    (log_w,) = _free(work.log_weights, 2, 1, kept_log_weights, pset.log_weights)
+    from_kept = x is kept_particles and pset.log_weights is kept_log_weights
+    if from_kept and work.free is not None:
+        (predicted, spare), log_w = work.free
+    else:
+        predicted, spare = _free(work.particles, 3, 2, kept_particles, x)
+        (log_w,) = _free(work.log_weights, 2, 1, kept_log_weights, pset.log_weights)
 
     if noises is None:
         noises = state.rng.standard_normal(x.shape, spare)
@@ -254,7 +264,10 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
         # Caller noise can be large enough for f(x) + noise to overflow;
         # drawn noise cannot (sqrt(Q) times a normal draw stays far below
         # half an ulp of the largest double). The inf it leaves is rejected
-        # by the finite guard below.
+        # by the finite guard below. The prediction is written before the
+        # noise is added, so caller noise in a workspace buffer is copied.
+        if np.may_share_memory(noises, predicted):
+            noises = noises.copy()
         with np.errstate(over="ignore"):
             predicted = propagate(model, x, noises, predicted)
 
@@ -289,7 +302,7 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
             indices = multinomial_resample(weights, state.rng, search)
         # indices are in range, so "clip" changes none; it spares take the
         # buffered copy it makes of out under the default "raise"
-        predicted = predicted.take(indices, 0, spare, "clip")
+        predicted, spare = predicted.take(indices, 0, spare, "clip"), predicted
     # Resampling and a collapse both reset the weights to uniform. A step
     # that keeps them normalizes its own array in place, (lw - m) - log(s)
     # in that order (see normalize_weights).
@@ -309,4 +322,6 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
         estimate = weighted_mean(predicted, weights)
     state.set = ParticleSet._trusted(predicted, log_w)
     work.kept = predicted, log_w
+    # the next step from this set writes into the two buffers it leaves free
+    work.free = ((spare, x), pset.log_weights) if from_kept else None
     return StepOutcome(estimate=estimate, ess=ess, resampled=resampled, degenerate=degenerate)

@@ -64,6 +64,15 @@ class StateSpaceModel:
     def h(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    # f(x) written into a given array, for the models that define it; a
+    # subclass that redefines f without it falls back to f (see _propagate)
+    _f = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "f" in vars(cls) and "_f" not in vars(cls):
+            cls._f = None
+
     @cached_property
     def process_std(self) -> np.ndarray:
         """sqrt(Q_j): the scale of each standard-normal process draw."""
@@ -103,6 +112,10 @@ class RandomWalk1D(StateSpaceModel):
 
     def f(self, x):
         return np.asarray(x, dtype=float).copy()
+
+    def _f(self, x: np.ndarray, out: np.ndarray) -> None:
+        """f(x) into ``out``, a float64 array of x's shape (see _propagate)."""
+        np.copyto(out, x)
 
     def h(self, x):
         """Read-only view of x."""
@@ -149,6 +162,11 @@ class ConstantVelocity2D(StateSpaceModel):
         with np.errstate(over="ignore", invalid="ignore"):
             return np.asarray(x, dtype=float) @ self._transition.T
 
+    def _f(self, x: np.ndarray, out: np.ndarray) -> None:
+        """f(x) into ``out``, a float64 array of x's shape (see _propagate)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(x, self._transition.T, out=out)
+
     def h(self, x):
         """Read-only view of the position components of x."""
         return _read_only(np.asarray(x, dtype=float)[..., :2])
@@ -183,9 +201,19 @@ def propagate(model, x, noise) -> np.ndarray:
 def _propagate(model, x: np.ndarray, noise: np.ndarray, out=None) -> np.ndarray:
     """propagate without its checks: x a float (n,) or (N, n) array of the
     model's state length, noise a float array of the same shape. ``out``, a
-    float64 array of that shape, receives f(x) + noise in place of a fresh
-    array."""
-    return np.add(model.f(x), noise, out)
+    float64 array of that shape that shares no memory with noise, receives
+    f(x) + noise in place of a fresh array.
+
+    A model whose class defines ``_f(x, out)``, f(x) written into out (the
+    built-in models), fills out with no array of its own; any other model's
+    f output is added to the noise as a fresh array.
+    """
+    f_into = getattr(model, "_f", None)
+    if out is None or f_into is None:
+        return np.add(model.f(x), noise, out)
+    f_into(x, out)
+    out += noise
+    return out
 
 
 def check_measurement(model, z) -> np.ndarray:

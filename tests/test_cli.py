@@ -447,6 +447,14 @@ class TestParticleWriter:
         reference_write_particles_csv(tmp / "rows.csv", trace, MODELS[dim])
         assert (tmp / "runs.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
 
+    def test_trace_in_blocks_matches_one_block(self, tmp_path):
+        cfg = parse_config(sample_config(T=23))
+        trace = run_scenario(cfg.scenario, cfg.seed)
+        cli.write_trace_csv(tmp_path / "whole.csv", trace, cfg.scenario.model)
+        with mock.patch.object(cli, "_BLOCK_ROWS", 5):
+            cli.write_trace_csv(tmp_path / "blocks.csv", trace, cfg.scenario.model)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_signed_zero_rows_keep_their_sign(self, tmp_path):
         # prior -0 + 0 * noise and q = 0 give particles of both signs that
         # resampling then copies onto consecutive rows

@@ -9,6 +9,7 @@ from smcfilter import filter as sir
 from smcfilter.core import ArgumentError, ParticleSet, RngStream
 from smcfilter.filter import (
     FilterState,
+    _free,
     GaussianPrior,
     InvalidPrior,
     init,
@@ -640,10 +641,10 @@ def test_copied_state_steps_on_its_own_arrays():
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0])
-def test_warm_step_allocates_only_the_motion_output(threshold):
-    """After two warm-up steps a systematic step allocates nothing
-    particle-sized but model.f's (N, n) output: its traced peak above its
-    start stays within 8·N·n bytes and 64 KiB."""
+def test_warm_step_allocates_nothing_particle_sized(threshold):
+    """After two warm-up steps a systematic cv2d step writes every
+    particle-sized result into its workspace, model.f's included: its traced
+    peak above its start stays below 8·N bytes, one (N,) float array."""
     n = 20_000
     state = init(CV, CV_PRIOR, n, RngStream(2), ResamplePolicy("systematic", threshold))
     for k in range(2):
@@ -656,4 +657,41 @@ def test_warm_step_allocates_only_the_motion_output(threshold):
     finally:
         tracemalloc.stop()
     assert outcome.resampled == (threshold == 1.0)
-    assert peak - start <= 8 * n * CV.state_dim + 64 * 1024
+    assert peak - start < 8 * n
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_step_from_its_own_set_skips_the_buffer_search(monkeypatch, threshold):
+    """A step from the set the last step returned takes its buffers from the
+    workspace as they are; only the first steps and a step from a set the
+    caller assigned search them by memory overlap."""
+    calls = []
+    monkeypatch.setattr(sir, "_free", lambda *args: calls.append(1) or _free(*args))
+    state = init(CV, CV_PRIOR, 40, RngStream(5), ResamplePolicy("systematic", threshold))
+    searched = []
+    for k in range(6):
+        if k == 3:
+            state.set = ParticleSet(state.set.particles.copy(), state.set.log_weights.copy())
+        step(state, [0.1 * k, 0.2])
+        searched.append(len(calls))
+        calls.clear()
+    # two lookups (particles, log-weights) per searching step
+    assert searched == [2, 2, 0, 2, 2, 0]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_caller_noise_in_the_prediction_buffer(threshold):
+    """Caller noise may be the arrays of an earlier returned set, which the
+    workspace reuses, even the buffer the step predicts into; the step adds
+    the noise as it was, as for a copy."""
+    policy = ResamplePolicy("systematic", threshold)
+    a, b = (init(CV, CV_PRIOR, 30, RngStream(3), policy) for _ in range(2))
+    for k in range(5):
+        z = [0.2 * k, -0.1]
+        free = a._workspace.free if a._workspace else None
+        # the buffer the step predicts into, filled with noise
+        noises = free[0][0] if free else np.empty((30, 4))
+        noises[...] = RngStream(k).standard_normal((30, 4))
+        step(b, z, noises.copy())
+        step(a, z, noises)
+        assert np.array_equal(a.set.particles, b.set.particles)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcfilter.core import ArgumentError
 from smcfilter.filter import GaussianPrior
@@ -11,6 +13,8 @@ from smcfilter.models import (
     DimensionMismatch,
     NonFiniteMeasurement,
     RandomWalk1D,
+    StateSpaceModel,
+    _propagate,
     log_likelihood,
     propagate,
 )
@@ -25,6 +29,11 @@ class TestConstruction:
         assert (RW.state_dim, RW.obs_dim) == (1, 1)
         np.testing.assert_array_equal(RW.process_var, [1.0])
         np.testing.assert_array_equal(RW.meas_var, [4.0])
+
+    def test_cv2d_defaults(self):
+        model = ConstantVelocity2D()
+        assert (model.dt, model.q_pos, model.q_vel, model.r_meas) == (1.0, 0.2, 0.05, 2.0)
+        np.testing.assert_array_equal(model.process_var, CV.process_var)
 
     def test_cv2d_dims(self):
         assert (CV.state_dim, CV.obs_dim) == (4, 2)
@@ -183,6 +192,53 @@ class TestPropagate:
         with pytest.raises(ArgumentError) as info:
             propagate(RW, x, noise)
         assert (info.value.name, info.value.index) == (name, index)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestPropagateIntoOut:
+    """With ``out``, _propagate writes a built-in model's f(x) into it and adds
+    the noise in place: bit for bit np.add(model.f(x), noise)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([0.1, 1e200]) | st.floats(0.0, 1e200),
+        st.integers(1, 600),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["normal", "huge", "zero"]),
+    )
+    def test_bit_equal_to_fresh_f_plus_noise(self, dt, n, seed, noise_kind):
+        rng = np.random.default_rng(seed)
+        for model in (RandomWalk1D(q=0.0), ConstantVelocity2D(dt=dt, q_pos=0.0, q_vel=0.0)):
+            shape = (n, model.state_dim)
+            x = rng.uniform(-1e150, 1e150, shape) * rng.choice([1.0, 1e-150, 0.0], shape)
+            noise = {"normal": lambda: rng.normal(size=shape),
+                     "huge": lambda: rng.uniform(-1e150, 1e150, shape),
+                     "zero": lambda: np.zeros(shape)}[noise_kind]()
+            with np.errstate(over="ignore"):
+                expected = np.add(model.f(x), noise)
+                out = np.empty(shape)
+                assert _propagate(model, x, noise, out) is out
+            assert np.array_equal(_bits(out), _bits(expected))
+
+    def test_model_without_f_into_uses_f(self):
+        class Doubling(StateSpaceModel):
+            state_dim, obs_dim = 1, 1
+
+            def f(self, x):
+                return 2.0 * x
+
+        class ShiftedCV(ConstantVelocity2D):
+            def f(self, x):
+                return super().f(x) + 1.0
+
+        for model in (Doubling(), ShiftedCV()):
+            x = np.ones((5, model.state_dim))
+            noise = np.full_like(x, 0.5)
+            out = _propagate(model, x, noise, np.empty_like(x))
+            np.testing.assert_array_equal(out, model.f(x) + noise)
 
 
 class TestMeasurementMap:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smcfilter import resampling
 from smcfilter.core import ArgumentError, RngStream
 from smcfilter.resampling import (
     _BELOW_ONE,
@@ -12,6 +13,8 @@ from smcfilter.resampling import (
     ResampleScratch,
     _checked_cumsum,
     _closed_form_search,
+    _effective_sample_size,
+    _exact_counts,
     effective_sample_size,
     multinomial_resample,
     systematic_resample,
@@ -57,6 +60,14 @@ class TestEffectiveSampleSize:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             effective_sample_size(np.array([0.5, 0.6]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(weight_vectors(1, 200))
+    def test_in_place_form_matches_and_the_public_one_only_reads(self, w):
+        kept = w.copy()
+        expected = effective_sample_size(w)
+        assert np.array_equal(w, kept)
+        assert _effective_sample_size(w, w) == expected
 
     @pytest.mark.parametrize(
         "bad, index",
@@ -203,6 +214,73 @@ class TestClosedFormSearch:
     def test_matches_searchsorted_at_any_size(self, w, u):
         got = _closed_form_search(_checked_cumsum(w), u, None, ResampleScratch(w.size))
         np.testing.assert_array_equal(got, searchsorted_reference(w, u))
+
+
+def near_tie_weights(shape, n, u, rng):
+    """Weights of a shape whose first cumulative entry is u / N, the first
+    stride position, so that the closed-form search meets a near tie."""
+    m = {
+        "uniform": lambda: np.ones(n - 1),
+        "dyadic": lambda: 2.0 ** rng.integers(-3, 4, n - 1),
+        "one-hot": lambda: np.eye(1, n - 1, int(rng.integers(n - 1)))[0],
+        "sparse": lambda: np.where(np.arange(n - 1) % 97 == 5, 1.0, 0.0),
+    }[shape]()
+    return np.r_[u / n, m * ((1.0 - u / n) / m.sum())]
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the closed-form search's calls of its exact passes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return _exact_counts(*args)
+
+    monkeypatch.setattr(resampling, "_exact_counts", counted)
+    return calls
+
+
+class TestClosedFormPaths:
+    """The closed form takes ceil(N c - u) as it is unless an entry lies
+    within its margin of an integer; then it runs its exact passes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shaped_weights(st.integers(CLOSED_FORM_MIN_N, 100_000)), OFFSETS)
+    def test_matches_searchsorted_from_the_crossover_on(self, w, u):
+        np.testing.assert_array_equal(systematic_resample(w, u), searchsorted_reference(w, u))
+
+    @pytest.mark.parametrize("n", [CLOSED_FORM_MIN_N, 10_000, 65_536, 100_000])
+    @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, _BELOW_ONE, 1e-300])
+    @pytest.mark.parametrize("shape", ["uniform", "dyadic", "one-hot", "sparse"])
+    def test_near_ties_take_the_exact_passes(self, exact_calls, shape, u, n):
+        w = near_tie_weights(shape, n, u, np.random.default_rng(n))
+        np.testing.assert_array_equal(systematic_resample(w, u), searchsorted_reference(w, u))
+        assert exact_calls == [n]
+
+    @pytest.mark.parametrize("u", [0.05, 0.5])
+    def test_partial_sums_outside_zero_one_are_clipped(self, exact_calls, u):
+        # a negative first weight, and a sum 9e-7 above 1 that the pin of
+        # the last partial sum leaves on the one before: ceil(N c - u) is
+        # below 0 for the first entry, and N + 1 for the second last at u = 0.05
+        n = 100_000
+        w = np.full(n, 1.0 / n)
+        w[:2] += [-0.3, 0.3]
+        w[-2:] = [2.0 / n + 9e-7 - 1e-9, 1e-9]
+        np.testing.assert_array_equal(systematic_resample(w, u), searchsorted_reference(w, u))
+        assert exact_calls == []
+
+    def test_filter_weights_skip_the_exact_passes(self, exact_calls):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(CLOSED_FORM_MIN_N, 100_001))
+            # a likelihood-weighted cloud, as a filter step makes one
+            log_w = -0.5 * (rng.normal(0.0, 3.0, n) - rng.normal()) ** 2
+            w = np.exp(log_w - log_w.max())
+            w /= w.sum()
+            u = rng.random()
+            np.testing.assert_array_equal(systematic_resample(w, u), searchsorted_reference(w, u))
+        assert exact_calls == []
 
 
 class TestMultinomialResample:

@@ -7,7 +7,7 @@ from smcfilter import filter as sir
 from smcfilter.core import ArgumentError, RngStream
 from smcfilter.filter import GaussianPrior
 from smcfilter.models import ConstantVelocity2D, DimensionMismatch, RandomWalk1D
-from smcfilter.resampling import ResamplePolicy
+from smcfilter.resampling import ResamplePolicy, effective_sample_size
 from smcfilter.sim import Scenario, _snapshot, rmse, run_scenario
 
 
@@ -243,6 +243,7 @@ class TestWholeRunProperties:
             assert np.all(low - slack <= trace.estimate[k]), k
             assert np.all(trace.estimate[k] <= high + slack), k
         assert trace.final_ess <= n * (1.0 + 1e-9)
+        assert trace.final_ess == effective_sample_size(trace.snapshots[t - 1][1])
         assert_same_run(trace, run_scenario(scenario, seed, dump_steps=range(t)))
 
 
