@@ -79,34 +79,30 @@ _TILE = 256
 
 
 class _Workspace:
-    """The arrays a FilterState's steps write into, for N particles of length
-    n, so that a step of a model with ``_f`` (see models._propagate) makes no
+    """The arrays a FilterState owns, for N particles of length n, so that a
+    step of a model with ``_f`` (see models._propagate) makes no
     particle-sized array; another model's f output is the one it makes.
 
     Three (N, n) particle buffers rotate between the current cloud, the
     prediction, which model._f fills before the noise is added in place,
     and a spare that takes the noise draw, then the resampled cloud; two
-    (N,) log-weight buffers alternate. Each buffer is allocated when a step
-    first needs it (see _free). ``search`` holds the normalized weights (as
-    its cumsum, which a resample overwrites) and the likelihood's later
-    columns (as its keys). ``kept`` is the pair of arrays the last step
-    returned, which the next step leaves intact, and ``free`` the particle
-    pair and the log-weight buffer that a step from ``kept`` writes into,
-    once all five buffers exist; a step from a set the caller assigned looks
-    its buffers up by memory overlap instead.
+    (N,) log-weight buffers alternate. All are allocated here with np.empty,
+    so a page no step has written costs no memory. ``kept`` is the
+    (particles, log_weights) pair the state's set holds and ``free`` the
+    ((prediction, spare), log_weights) buffers the next step writes into.
+    ``search`` holds the normalized weights (as its cumsum, which a resample
+    overwrites) and the likelihood's later columns (as its keys).
     """
 
     def __init__(self, owner: "FilterState", n_particles: int, dim: int):
         self.owner = id(owner)
-        self.shape = (n_particles, dim)
-        self.particles: list = []
-        self.log_weights: list = []
+        shape = (n_particles, dim)
+        self.kept = np.empty(shape), np.empty(n_particles)
+        self.free = (np.empty(shape), np.empty(shape)), np.empty(n_particles)
         self.search = ResampleScratch(n_particles)
         self.indices = np.empty(n_particles, dtype=np.intp)
         self.log_uniform = -np.log(n_particles)
         self.uniform = 1.0 / n_particles
-        self.kept = (None, None)
-        self.free = None
         self._tile_std = self._tile = None
 
     def scale(self, noises: np.ndarray, std: np.ndarray) -> None:
@@ -123,28 +119,16 @@ class _Workspace:
         flat[whole:] *= tile[: flat.size - whole]
 
 
-def _free(buffers: list, most: int, count: int, kept, current) -> list:
-    """``count`` of ``buffers`` that hold neither ``kept`` nor ``current``,
-    the latter judged by memory overlap when it is not ``kept`` (a caller's
-    set, or a view). Fresh arrays make up a shortfall and join ``buffers``
-    while it has fewer than ``most``, so a buffer that only a later step
-    needs is not yet allocated while the caller's set is alive."""
-    free = [b for b in buffers
-            if b is not kept and (current is kept or not np.may_share_memory(b, current))]
-    while len(free) < count:
-        free.append(np.empty(current.shape))
-        if len(buffers) < most:
-            buffers.append(free[-1])
-    return free[:count]
-
-
 @dataclass
 class FilterState:
     """Everything one filtering run carries between steps.
 
-    The arrays of the set a step returns stay intact through the next step;
-    the step after that overwrites them (see _Workspace). A set the caller
-    builds is only ever read.
+    A step writes only into the state's workspace (see _Workspace), which
+    init builds and draws the prior into. The arrays of the set a step
+    returns stay intact through the next step; the step after that
+    overwrites them. A set the workspace does not hold, one the caller
+    assigned or a copied state's, is copied into a new workspace at the
+    next step and is then only read.
     """
 
     set: ParticleSet
@@ -198,18 +182,23 @@ def init(
     """Draw N particles from the prior and give them equal weights 1/N.
 
     Draws happen in particle-index order, components in order within each
-    particle, which fixes the stream layout for reproducibility.
+    particle, which fixes the stream layout for reproducibility. The state's
+    workspace is built here and the prior drawn into it: ``draws *= std``,
+    then ``+= mean``, the same bits as mean + std * draws, since IEEE
+    products and sums commute exactly. A prior that overflows raises the
+    set's finite check, without an overflow warning.
     """
     check_settings(model, prior, n_particles, estimator)
-    draws = rng.standard_normal((n_particles, prior.dim))
-    particles = prior.mean + prior.std * draws
-    return FilterState(
-        set=ParticleSet.uniform(particles),
-        model=model,
-        policy=policy,
-        rng=rng,
-        estimator=estimator,
-    )
+    state = FilterState(set=None, model=model, policy=policy, rng=rng, estimator=estimator)
+    work = state._workspace = _Workspace(state, n_particles, prior.dim)
+    particles, log_weights = work.kept
+    rng.standard_normal(particles.shape, particles)
+    with np.errstate(over="ignore"):
+        particles *= prior.std
+        particles += prior.mean
+    log_weights.fill(work.log_uniform)
+    state.set = ParticleSet(particles, log_weights)
+    return state
 
 
 def step(state: FilterState, z, noises=None) -> StepOutcome:
@@ -241,17 +230,16 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
             noises = noises[:, np.newaxis]
         if noises.shape != x.shape:
             raise DimensionMismatch("noises", f"shape {noises.shape}, expected {x.shape}")
-    # A copied FilterState builds its own workspace rather than share one.
+    # A set the state's own workspace does not hold, one the caller assigned
+    # or a copied state's, is copied into a new workspace and only read.
     work = state._workspace
-    if work is None or work.owner != id(state) or work.shape != x.shape:
-        work = state._workspace = _Workspace(state, *x.shape)
-    kept_particles, kept_log_weights = work.kept
-    from_kept = x is kept_particles and pset.log_weights is kept_log_weights
-    if from_kept and work.free is not None:
-        (predicted, spare), log_w = work.free
-    else:
-        predicted, spare = _free(work.particles, 3, 2, kept_particles, x)
-        (log_w,) = _free(work.log_weights, 2, 1, kept_log_weights, pset.log_weights)
+    if (work is None or work.owner != id(state)
+            or x is not work.kept[0] or pset.log_weights is not work.kept[1]):
+        work = state._workspace = _Workspace(state, n, pset.dim)
+        np.copyto(work.kept[0], x)
+        np.copyto(work.kept[1], pset.log_weights)
+    x, prev = work.kept
+    (predicted, spare), log_w = work.free
 
     if noises is None:
         noises = state.rng.standard_normal(x.shape, spare)
@@ -282,7 +270,7 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     # Weight update in the log domain, in the workspace's arrays.
     search = work.search
     log_w = log_likelihood(model, z, predicted, log_w, search.keys[:n])
-    log_w += pset.log_weights
+    log_w += prev
     degenerate = False
     try:
         weights, m, s, ess = normalize_weights(log_w, search.cumsum)
@@ -322,6 +310,5 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
         estimate = weighted_mean(predicted, weights)
     state.set = ParticleSet._trusted(predicted, log_w)
     work.kept = predicted, log_w
-    # the next step from this set writes into the two buffers it leaves free
-    work.free = ((spare, x), pset.log_weights) if from_kept else None
+    work.free = (spare, x), prev
     return StepOutcome(estimate=estimate, ess=ess, resampled=resampled, degenerate=degenerate)

@@ -124,8 +124,10 @@ def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
     truth = scenario.initial_truth
     trace.truth[0] = truth
     trace.measurement[0] = np.nan
-    trace.estimate[0] = weighted_mean(state.set.particles, state.set.weights)
-    trace.ess[0] = effective_sample_size(state.set.weights)
+    weights = state.set.weights
+    trace.estimate[0] = weighted_mean(state.set.particles, weights)
+    trace.ess[0] = effective_sample_size(weights)
+    del weights  # no (N,) array lives through the loop
     if 0 in dump_steps:
         trace.snapshots[0] = _snapshot(state)
 

@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcfilter import filter as sir
 from smcfilter.core import ArgumentError, ParticleSet, RngStream
 from smcfilter.filter import (
     FilterState,
-    _free,
     GaussianPrior,
     InvalidPrior,
     init,
@@ -138,6 +139,56 @@ class TestInit:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ArgumentError, match="^estimator must be one of"):
             init(RW, GaussianPrior([0.0], [1.0]), 5, RngStream(1), estimator="median")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([RW, ConstantVelocity2D()]),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_prior_drawn_in_place_bit_for_bit(self, model, n, seed, data):
+        """init draws the prior into its workspace with the bits of
+        mean + std * draws, signed zeros and magnitudes near the largest
+        double included; a prior that overflows raises the same error."""
+        dim = model.state_dim
+        near_max = st.sampled_from([1e308, 1.7e308, 2.0**1023])
+        means = (st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+                 | near_max | near_max.map(lambda v: -v) | st.floats(-1.7e308, 1.7e308))
+        stds = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 10.0) | near_max
+        prior = GaussianPrior(data.draw(st.lists(means, min_size=dim, max_size=dim)),
+                              data.draw(st.lists(stds, min_size=dim, max_size=dim)))
+        want_rng = RngStream(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = prior.mean + prior.std * want_rng.standard_normal((n, dim))
+        rng = RngStream(seed)
+        if np.isfinite(want).all():
+            got = init(model, prior, n, rng).set
+            assert got.particles.tobytes() == want.tobytes()
+            assert got.log_weights.tobytes() == np.full(n, -np.log(n)).tobytes()
+        else:
+            with pytest.raises(ArgumentError) as expected:
+                ParticleSet.uniform(want)
+            with pytest.raises(ArgumentError) as raised:
+                init(model, prior, n, rng)
+            assert raised.value.name == "particles" and str(raised.value) == str(expected.value)
+        assert rng.uniform() == want_rng.uniform()
+
+    def test_allocates_only_its_workspace(self):
+        """The prior is drawn into the workspace in place: init's traced peak
+        stays below the workspace's own arrays plus one (N,) float array."""
+        n = 20_000
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            state = init(CV, CV_PRIOR, n, RngStream(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        work = state._workspace
+        arrays = (*work.kept, *work.free[0], work.free[1], work.search.cumsum,
+                  work.search.keys, work.indices)
+        assert peak - start < sum(a.nbytes for a in arrays) + 8 * n
 
 
 class TestGoldenSteps:
@@ -597,6 +648,16 @@ class TestStorageContract:
         assert _unchanged(caller, kept)
         assert np.array_equal(noises, kept_noises)
 
+    def test_caller_set_over_a_returned_array_is_only_read(self, scheme, threshold):
+        state = init(CV, CV_PRIOR, 60, RngStream(4), ResamplePolicy(scheme, threshold))
+        step(state, [0.5, 0.5])
+        returned = state.set
+        kept = returned.particles.copy()
+        state.set = ParticleSet(returned.particles, returned.log_weights.copy())
+        for k in range(3):
+            step(state, [0.3 * k, 1.0])
+        assert np.array_equal(returned.particles, kept)
+
     def test_returned_set_survives_the_next_step(self, scheme, threshold):
         state = init(CV, CV_PRIOR, 60, RngStream(4), ResamplePolicy(scheme, threshold))
         for k in range(4):
@@ -661,22 +722,29 @@ def test_warm_step_allocates_nothing_particle_sized(threshold):
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0])
-def test_step_from_its_own_set_skips_the_buffer_search(monkeypatch, threshold):
-    """A step from the set the last step returned takes its buffers from the
-    workspace as they are; only the first steps and a step from a set the
-    caller assigned search them by memory overlap."""
-    calls = []
-    monkeypatch.setattr(sir, "_free", lambda *args: calls.append(1) or _free(*args))
+def test_caller_set_moves_the_state_to_a_new_workspace(threshold):
+    """After the caller assigns state.set, the next step copies it into a new
+    workspace and returns that workspace's arrays; the steps after it rotate
+    the new workspace's three particle buffers."""
     state = init(CV, CV_PRIOR, 40, RngStream(5), ResamplePolicy("systematic", threshold))
-    searched = []
-    for k in range(6):
-        if k == 3:
-            state.set = ParticleSet(state.set.particles.copy(), state.set.log_weights.copy())
-        step(state, [0.1 * k, 0.2])
-        searched.append(len(calls))
-        calls.clear()
-    # two lookups (particles, log-weights) per searching step
-    assert searched == [2, 2, 0, 2, 2, 0]
+    step(state, [0.0, 0.2])
+    old = state._workspace
+    state.set = ParticleSet(state.set.particles.copy(), state.set.log_weights.copy())
+    step(state, [0.1, 0.2])
+    work = state._workspace
+    assert work is not old and work.owner == id(state)
+    particles = {id(work.kept[0]), *map(id, work.free[0])}
+    log_weights = {id(work.kept[1]), id(work.free[1])}
+    assert (len(particles), len(log_weights)) == (3, 2)
+    assert state.set.particles is work.kept[0] and state.set.log_weights is work.kept[1]
+    for k in range(4):
+        returned = state.set.particles
+        step(state, [0.1 * k, 0.3])
+        assert state._workspace is work
+        assert state.set.particles is work.kept[0] and state.set.log_weights is work.kept[1]
+        assert state.set.particles is not returned
+        assert {id(work.kept[0]), *map(id, work.free[0])} == particles
+        assert {id(work.kept[1]), id(work.free[1])} == log_weights
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0])
