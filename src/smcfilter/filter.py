@@ -91,11 +91,11 @@ class _Workspace:
     (particles, log_weights) pair the state's set holds and ``free`` the
     ((prediction, spare), log_weights) buffers the next step writes into.
     ``search`` holds the normalized weights (as its cumsum, which a resample
-    overwrites) and the likelihood's later columns (as its keys).
+    overwrites) and the likelihood's later columns (as its keys). One state
+    holds it: a copy or pickle of the state leaves it out (see FilterState).
     """
 
-    def __init__(self, owner: "FilterState", n_particles: int, dim: int):
-        self.owner = id(owner)
+    def __init__(self, n_particles: int, dim: int):
         shape = (n_particles, dim)
         self.kept = np.empty(shape), np.empty(n_particles)
         self.free = (np.empty(shape), np.empty(shape)), np.empty(n_particles)
@@ -128,7 +128,8 @@ class FilterState:
     returns stay intact through the next step; the step after that
     overwrites them. A set the workspace does not hold, one the caller
     assigned or a copied state's, is copied into a new workspace at the
-    next step and is then only read.
+    next step and is then only read. A copy, deep copy or pickle of the
+    state leaves the workspace out and builds its own at its next step.
     """
 
     set: ParticleSet
@@ -137,6 +138,9 @@ class FilterState:
     rng: RngStream
     estimator: str = "weighted_mean"
     _workspace: _Workspace | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_workspace": None}
 
 
 @dataclass
@@ -190,7 +194,7 @@ def init(
     """
     check_settings(model, prior, n_particles, estimator)
     state = FilterState(set=None, model=model, policy=policy, rng=rng, estimator=estimator)
-    work = state._workspace = _Workspace(state, n_particles, prior.dim)
+    work = state._workspace = _Workspace(n_particles, prior.dim)
     particles, log_weights = work.kept
     rng.standard_normal(particles.shape, particles)
     with np.errstate(over="ignore"):
@@ -230,12 +234,11 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
             noises = noises[:, np.newaxis]
         if noises.shape != x.shape:
             raise DimensionMismatch("noises", f"shape {noises.shape}, expected {x.shape}")
-    # A set the state's own workspace does not hold, one the caller assigned
-    # or a copied state's, is copied into a new workspace and only read.
+    # A set the state's workspace does not hold, one the caller assigned or
+    # a copied state's, is copied into a new workspace and only read.
     work = state._workspace
-    if (work is None or work.owner != id(state)
-            or x is not work.kept[0] or pset.log_weights is not work.kept[1]):
-        work = state._workspace = _Workspace(state, n, pset.dim)
+    if work is None or x is not work.kept[0] or pset.log_weights is not work.kept[1]:
+        work = state._workspace = _Workspace(n, pset.dim)
         np.copyto(work.kept[0], x)
         np.copyto(work.kept[1], pset.log_weights)
     x, prev = work.kept
@@ -249,15 +252,13 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
             work.scale(noises, model.process_std)
         predicted = propagate(model, x, noises, predicted)
     else:
-        # Caller noise can be large enough for f(x) + noise to overflow;
-        # drawn noise cannot (sqrt(Q) times a normal draw stays far below
-        # half an ulp of the largest double). The inf it leaves is rejected
-        # by the finite guard below. The prediction is written before the
-        # noise is added, so caller noise in a workspace buffer is copied.
-        if np.may_share_memory(noises, predicted):
-            noises = noises.copy()
+        # Caller noise is read once, into the spare buffer. It can be large
+        # enough for f(x) + noise to overflow; drawn noise cannot (sqrt(Q)
+        # times a normal draw stays far below half an ulp of the largest
+        # double). The inf it leaves is rejected by the finite guard below.
+        np.copyto(spare, noises)
         with np.errstate(over="ignore"):
-            predicted = propagate(model, x, noises, predicted)
+            predicted = propagate(model, x, spare, predicted)
 
     # A sum of squares is finite only if every particle is. np.vdot takes it
     # in one pass with no temporary and, unlike a numpy sum, warns of no

@@ -109,9 +109,14 @@ def systematic_resample(weights, u: float, out=None, scratch=None) -> np.ndarray
         check_arg("u", u, scalar=True)
         if not 0.0 <= u < 1.0:
             raise ArgumentError("u", f"must be in [0, 1), got {shown(u)}")
+    if cumsum.size >= CLOSED_FORM_MIN_N:
+        return _closed_form_search(cumsum, float(u), out, scratch or ResampleScratch(cumsum.size))
+    return _binary_search(cumsum, u, out)
+
+
+def _binary_search(cumsum: np.ndarray, u: float, out) -> np.ndarray:
+    """searchsorted(cumsum, side="right") at the positions (i + u) / N, into ``out`` if given."""
     n = cumsum.size
-    if n >= CLOSED_FORM_MIN_N:
-        return _closed_form_search(cumsum, float(u), out, scratch or ResampleScratch(n))
     positions = np.arange(n, dtype=float)
     positions += u
     positions /= n
@@ -126,19 +131,10 @@ def systematic_resample(weights, u: float, out=None, scratch=None) -> np.ndarray
     return out
 
 
-def _positions(k: np.ndarray, u: float, n: int, out: np.ndarray) -> np.ndarray:
-    """The stride positions (k + u) / n at integer indices k, rounded as
-    systematic_resample's searchsorted path rounds them (with its pull below
-    1 of position n-1), into the float ``out``."""
-    np.add(k, u, out=out)
-    out /= n
-    return np.minimum(out, _BELOW_ONE, out=out)
-
-
 def _closed_form_search(cumsum: np.ndarray, u: float, out, scratch: ResampleScratch) -> np.ndarray:
     """searchsorted(cumsum, positions, side="right") for systematic_resample's
-    positions p_i, in O(N) passes and no fresh array but ``out`` when it is
-    None.
+    positions p_i, in O(N) passes and, away from a near tie, no fresh array
+    but ``out`` when it is None.
 
     The index of position i is the number of cumulative entries c_j <= p_i.
     Counted from the other side, K_j, the number of positions below c_j,
@@ -162,8 +158,8 @@ def _closed_form_search(cumsum: np.ndarray, u: float, out, scratch: ResampleScra
     has K_j = 0 and ceil(probe) <= 0; c_j >= 1 (partial sums may pass 1 by
     the sum check's 1e-6, or by more with negative weights) has K_j = N and
     ceil(probe) >= N, unless probe = N - 1 exactly, at gap 0. If any gap
-    falls outside [M, 1 - M], _exact_counts corrects the solve against the
-    positions instead.
+    falls outside [M, 1 - M], the binary search, whose indices the solve
+    reproduces, runs instead on the cumulative sum, still intact.
     """
     n = cumsum.size
     k = np.empty(n, dtype=np.intp) if out is None else out
@@ -175,38 +171,13 @@ def _closed_form_search(cumsum: np.ndarray, u: float, out, scratch: ResampleScra
     gap = np.subtract(k_hat, probe, out=probe)
     margin = n * 2.0**-48
     if gap.min() < margin or gap.max() > 1.0 - margin:
-        counted = _exact_counts(cumsum, u, k, probe)
-    else:
-        # the cumulative sum is spent: it takes K as integers
-        counted = np.clip(k_hat, 0, n, out=cumsum.view(np.intp), casting="unsafe")
+        return _binary_search(cumsum, u, k)
+    # the cumulative sum is spent: it takes K as integers
+    counted = np.clip(k_hat, 0, n, out=cumsum.view(np.intp), casting="unsafe")
     counts = scratch.keys.view(np.intp)[: n + 1]
     counts.fill(0)
     np.add.at(counts, counted, 1)
     return np.cumsum(counts[:n], out=k)
-
-
-def _exact_counts(cumsum: np.ndarray, u: float, k: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """K_j of _closed_form_search into the intp array ``k``, exact for every
-    entry, with the float ``probe`` as scratch. The solve ceil(N c_j - u),
-    clipped to [0, N], is off by at most one, as rounding in it and in the
-    positions is far below one position: one pass down where p_(K-1) >= c_j
-    and one pass up where p_K < c_j, each against the exact positions, make
-    it exact."""
-    n = cumsum.size
-    np.multiply(cumsum, n, out=probe)
-    probe -= u
-    np.ceil(probe, out=k, casting="unsafe")
-    np.clip(k, 0, n, out=k)
-    # down where p_(K-1) >= c_j; K = 0 has no position below it
-    np.subtract(k, 1, out=probe)
-    _positions(probe, u, n, probe)
-    np.greater_equal(probe, cumsum, out=probe)
-    np.subtract(k, probe, out=k, casting="unsafe")
-    # up where p_K < c_j, then back into [0, N]: K = N has no position above it
-    _positions(k, u, n, probe)
-    np.less(probe, cumsum, out=probe)
-    np.add(k, probe, out=k, casting="unsafe")
-    return np.clip(k, 0, n, out=k)
 
 
 def multinomial_resample(weights, rng: RngStream, scratch=None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import tracemalloc
 import warnings
 
@@ -684,13 +685,14 @@ class TestStorageContract:
 
 
 def test_copied_state_steps_on_its_own_arrays():
-    """copy.copy shares the workspace field; the copy builds its own, so the
-    two states step as two independent runs would."""
+    """copy.copy leaves the workspace out; the copy builds its own at its
+    first step, so the two states step as two independent runs would."""
     policy = ResamplePolicy("systematic", 1.0)
     a, b = (init(CV, CV_PRIOR, 50, RngStream(6), policy) for _ in range(2))
     step(a, [0.1, 0.2])
     step(b, [0.1, 0.2])
     twin = copy.copy(a)
+    assert twin._workspace is None and a._workspace is not None
     twin.rng = RngStream(7)
     for k in range(3):
         z = [0.3 * k, 0.1 * k]
@@ -699,6 +701,72 @@ def test_copied_state_steps_on_its_own_arrays():
         step(b, z)
         assert np.array_equal(a.set.particles, b.set.particles)
         assert np.array_equal(a.set.log_weights, b.set.log_weights)
+
+
+def test_copy_at_a_reused_address_leaves_its_source_intact():
+    """A copy made where a dropped state lived, c = copy.copy(b) after
+    b = copy.copy(a); a = None, steps in a workspace of its own: two steps of
+    c leave b's set as it was. Repeated, since the address is reused only
+    when the allocator hands it back."""
+    policy = ResamplePolicy("systematic", 1.0)
+    for seed in range(10):
+        a = init(CV, CV_PRIOR, 30, RngStream(seed), policy)
+        step(a, [0.1, 0.2])
+        b = copy.copy(a)
+        a = None
+        kept = _arrays(b.set)
+        c = copy.copy(b)
+        for k in range(2):
+            step(c, [0.2 * k, 0.1])
+        assert _unchanged(b.set, kept)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_pickled_state_steps_like_the_original(threshold):
+    """A pickled state comes back without a workspace, builds its own at its
+    next step and then steps as the original does, bit for bit."""
+    state = init(CV, CV_PRIOR, 40, RngStream(8), ResamplePolicy("systematic", threshold))
+    step(state, [0.3, 0.1])
+    clone = pickle.loads(pickle.dumps(state))
+    assert clone._workspace is None
+    for k in range(4):
+        z = [0.2 * k, -0.1]
+        a, b = step(state, z), step(clone, z)
+        assert (a.ess, a.resampled) == (b.ess, b.resampled)
+        assert np.array_equal(a.estimate, b.estimate)
+        assert np.array_equal(state.set.particles, clone.set.particles)
+        assert np.array_equal(state.set.log_weights, clone.set.log_weights)
+    assert clone._workspace is not state._workspace
+
+
+@st.composite
+def scale_cases(draw):
+    """(N, n, std) for _Workspace.scale: N not a multiple of the tile's rows
+    when the tile holds more than one, stds with 0.0 and subnormals."""
+    n = draw(st.integers(2, 300))
+    rows = max(1, sir._TILE // n)
+    count = draw(st.integers(0, 3)) * rows + draw(st.integers(1, max(1, rows - 1)))
+    special = st.sampled_from([0.0, 5e-324, 2.0**-1060, 2.0**-1022 * 0.75, 1e-300, 1e300])
+    std = draw(st.lists(st.one_of(special, st.floats(0.0, 1e300)), min_size=n, max_size=n))
+    return count, n, np.array(std)
+
+
+class TestWorkspaceScale:
+    @settings(max_examples=200, deadline=None)
+    @given(scale_cases(), st.integers(0, 2**32 - 1))
+    def test_matches_a_broadcast_multiply_bit_for_bit(self, case, seed):
+        count, n, std = case
+        noises = np.random.default_rng(seed).standard_normal((count, n))
+        expected = noises * std
+        work = sir._Workspace(count, n)
+        work.scale(noises, std)
+        assert noises.tobytes() == expected.tobytes()
+        # a second std array takes a new tile
+        other = std[::-1].copy()
+        again = np.random.default_rng(seed).standard_normal((count, n))
+        expected = again * other
+        work.scale(again, other)
+        assert again.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0])
@@ -732,7 +800,7 @@ def test_caller_set_moves_the_state_to_a_new_workspace(threshold):
     state.set = ParticleSet(state.set.particles.copy(), state.set.log_weights.copy())
     step(state, [0.1, 0.2])
     work = state._workspace
-    assert work is not old and work.owner == id(state)
+    assert work is not old
     particles = {id(work.kept[0]), *map(id, work.free[0])}
     log_weights = {id(work.kept[1]), id(work.free[1])}
     assert (len(particles), len(log_weights)) == (3, 2)

@@ -11,10 +11,10 @@ from smcfilter.resampling import (
     NotNormalized,
     ResamplePolicy,
     ResampleScratch,
+    _binary_search,
     _checked_cumsum,
     _closed_form_search,
     _effective_sample_size,
-    _exact_counts,
     effective_sample_size,
     multinomial_resample,
     systematic_resample,
@@ -229,21 +229,22 @@ def near_tie_weights(shape, n, u, rng):
 
 
 @pytest.fixture
-def exact_calls(monkeypatch):
-    """Counts the closed-form search's calls of its exact passes."""
+def fallback_calls(monkeypatch):
+    """Counts the closed-form search's calls of the binary search."""
     calls = []
 
     def counted(*args):
         calls.append(args[0].size)
-        return _exact_counts(*args)
+        return _binary_search(*args)
 
-    monkeypatch.setattr(resampling, "_exact_counts", counted)
+    monkeypatch.setattr(resampling, "_binary_search", counted)
     return calls
 
 
 class TestClosedFormPaths:
     """The closed form takes ceil(N c - u) as it is unless an entry lies
-    within its margin of an integer; then it runs its exact passes."""
+    within its margin of an integer; then it hands the search to the
+    binary search."""
 
     @settings(max_examples=40, deadline=None)
     @given(shaped_weights(st.integers(CLOSED_FORM_MIN_N, 100_000)), OFFSETS)
@@ -253,13 +254,13 @@ class TestClosedFormPaths:
     @pytest.mark.parametrize("n", [CLOSED_FORM_MIN_N, 10_000, 65_536, 100_000])
     @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, _BELOW_ONE, 1e-300])
     @pytest.mark.parametrize("shape", ["uniform", "dyadic", "one-hot", "sparse"])
-    def test_near_ties_take_the_exact_passes(self, exact_calls, shape, u, n):
+    def test_near_ties_take_the_binary_search(self, fallback_calls, shape, u, n):
         w = near_tie_weights(shape, n, u, np.random.default_rng(n))
         np.testing.assert_array_equal(systematic_resample(w, u), searchsorted_reference(w, u))
-        assert exact_calls == [n]
+        assert fallback_calls == [n]
 
     @pytest.mark.parametrize("u", [0.05, 0.5])
-    def test_partial_sums_outside_zero_one_are_clipped(self, exact_calls, u):
+    def test_partial_sums_outside_zero_one_are_clipped(self, fallback_calls, u):
         # a negative first weight, and a sum 9e-7 above 1 that the pin of
         # the last partial sum leaves on the one before: ceil(N c - u) is
         # below 0 for the first entry, and N + 1 for the second last at u = 0.05
@@ -268,9 +269,9 @@ class TestClosedFormPaths:
         w[:2] += [-0.3, 0.3]
         w[-2:] = [2.0 / n + 9e-7 - 1e-9, 1e-9]
         np.testing.assert_array_equal(systematic_resample(w, u), searchsorted_reference(w, u))
-        assert exact_calls == []
+        assert fallback_calls == []
 
-    def test_filter_weights_skip_the_exact_passes(self, exact_calls):
+    def test_filter_weights_skip_the_binary_search(self, fallback_calls):
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = int(rng.integers(CLOSED_FORM_MIN_N, 100_001))
@@ -280,7 +281,7 @@ class TestClosedFormPaths:
             w /= w.sum()
             u = rng.random()
             np.testing.assert_array_equal(systematic_resample(w, u), searchsorted_reference(w, u))
-        assert exact_calls == []
+        assert fallback_calls == []
 
 
 class TestMultinomialResample:

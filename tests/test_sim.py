@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -245,6 +247,34 @@ class TestWholeRunProperties:
         assert trace.final_ess <= n * (1.0 + 1e-9)
         assert trace.final_ess == effective_sample_size(trace.snapshots[t - 1][1])
         assert_same_run(trace, run_scenario(scenario, seed, dump_steps=range(t)))
+
+
+EDGE_PRIOR = {1: GaussianPrior([0.0], [2.0]), 4: GaussianPrior([0.0, 0.0, 1.0, 0.5], [1.0, 1.0, 0.5, 0.5])}
+
+
+# (model, steps flagged degenerate, bounds on the unique particles after
+# the last step)
+@pytest.mark.parametrize("model, degenerate, unique", [
+    (RandomWalk1D(r=1e-300), 0, (1, 1)),
+    (RandomWalk1D(q=1e300), 0, (1, 1)),
+    (ConstantVelocity2D(r_meas=5e-324), 29, (200, 200)),
+    (ConstantVelocity2D(dt=1e200), 29, (200, 200)),
+    (RandomWalk1D(q=0.0), 0, (2, 200)),
+], ids=["rw1d-r1e-300", "rw1d-q1e300", "cv2d-r5e-324", "cv2d-dt1e200", "rw1d-q0"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_extreme_variances_run_without_warning(model, degenerate, unique, seed):
+    """Variances at the ends of the float range neither warn nor raise, and
+    every estimate stays finite; a collapse is flagged and reset instead."""
+    dim = model.state_dim
+    truth = EDGE_PRIOR[dim].mean
+    scenario = Scenario(model, 30, EDGE_PRIOR[dim], truth, 200, ResamplePolicy("systematic", 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_scenario(scenario, seed, dump_steps=[29])
+    assert np.isfinite(trace.estimate).all()
+    assert trace.degenerate.sum() == degenerate
+    low, high = unique
+    assert low <= len(np.unique(trace.snapshots[29][0], axis=0)) <= high
 
 
 class TestRmse:
