@@ -213,6 +213,9 @@ def _ess(e: np.ndarray, s) -> float:
     return float(s * (s / np.vdot(e, e)))
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def normalize_weights(log_weights, out=None) -> tuple[np.ndarray, float, float, float]:
     """Normalize log-weights: (w, m, s, ess) with m = max(lw),
     s = sum(exp(lw - m)), the linear weights w = exp(lw - m) / s and their
@@ -226,11 +229,14 @@ def normalize_weights(log_weights, out=None) -> tuple[np.ndarray, float, float, 
     order: for |m| beyond ~1e16, m + log(s) rounds to m and lw - (m + log(s))
     would no longer be normalized (Blanchard, Higham & Higham 2021).
     ``out``, a float64 array of lw's shape, receives w in place of a fresh
-    array; it may be lw itself.
+    array; it may be lw itself. Another ``out`` raises ArgumentError.
     """
     lw = real_array("log_weights", log_weights)
     if lw.size < 1:
         raise ArgumentError("log_weights", "must not be empty")
+    if out is not None and (getattr(out, "dtype", None) is not _FLOAT64 or out.shape != lw.shape):
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else shown(out)
+        raise ArgumentError("out", f"must be a float64 array of shape {lw.shape}, got {got}")
     m = lw.max()
     if m == -np.inf:
         raise AllWeightsCollapsed("log_weights", "are all -inf")

@@ -91,8 +91,9 @@ class _Workspace:
     (particles, log_weights) pair the state's set holds and ``free`` the
     ((prediction, spare), log_weights) buffers the next step writes into.
     ``search`` holds the normalized weights (as its cumsum, which a resample
-    overwrites) and the likelihood's later columns (as its keys). One state
-    holds it: a copy or pickle of the state leaves it out (see FilterState).
+    overwrites), the likelihood's later columns (as its keys) and the
+    closed-form systematic search's indices. One state holds it: a copy or
+    pickle of the state leaves it out (see FilterState).
     """
 
     def __init__(self, n_particles: int, dim: int):
@@ -100,7 +101,6 @@ class _Workspace:
         self.kept = np.empty(shape), np.empty(n_particles)
         self.free = (np.empty(shape), np.empty(shape)), np.empty(n_particles)
         self.search = ResampleScratch(n_particles)
-        self.indices = np.empty(n_particles, dtype=np.intp)
         self.log_uniform = -np.log(n_particles)
         self.uniform = 1.0 / n_particles
         self._tile_std = self._tile = None
@@ -286,7 +286,7 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     resampled = bool(ess < state.policy.threshold_fraction * n)
     if resampled:
         if state.policy.scheme == "systematic":
-            indices = systematic_resample(weights, state.rng.uniform(), work.indices, search)
+            indices = systematic_resample(weights, state.rng.uniform(), search)
         else:
             indices = multinomial_resample(weights, state.rng, search)
         # indices are in range, so "clip" changes none; it spares take the

@@ -64,15 +64,6 @@ class StateSpaceModel:
     def h(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # f(x) written into a given array, for the models that define it; a
-    # subclass that redefines f without it falls back to f (see _propagate)
-    _f = None
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "f" in vars(cls) and "_f" not in vars(cls):
-            cls._f = None
-
     @cached_property
     def process_std(self) -> np.ndarray:
         """sqrt(Q_j): the scale of each standard-normal process draw."""
@@ -172,6 +163,11 @@ class ConstantVelocity2D(StateSpaceModel):
         return _read_only(np.asarray(x, dtype=float)[..., :2])
 
 
+# The f methods whose model also writes f(x) into a given array, as _f (see
+# _propagate); a subclass that redefines f steps through its own f.
+_F_WITH_OUT = (RandomWalk1D.f, ConstantVelocity2D.f)
+
+
 def _check_state(model, x) -> np.ndarray:
     x = real_array("x", x)
     if x.ndim == 0:
@@ -204,14 +200,13 @@ def _propagate(model, x: np.ndarray, noise: np.ndarray, out=None) -> np.ndarray:
     float64 array of that shape that shares no memory with noise, receives
     f(x) + noise in place of a fresh array.
 
-    A model whose class defines ``_f(x, out)``, f(x) written into out (the
-    built-in models), fills out with no array of its own; any other model's
+    A model whose f is a built-in model's (see _F_WITH_OUT) writes f(x)
+    into out with its ``_f(x, out)``, no array of its own; any other model's
     f output is added to the noise as a fresh array.
     """
-    f_into = getattr(model, "_f", None)
-    if out is None or f_into is None:
+    if out is None or type(model).f not in _F_WITH_OUT:
         return np.add(model.f(x), noise, out)
-    f_into(x, out)
+    model._f(x, out)
     out += noise
     return out
 

@@ -53,21 +53,27 @@ def _require_sum(total) -> None:
 
 class ResampleScratch:
     """Arrays that a resampler of N weights fills in place of fresh ones:
-    ``cumsum``, float64 (N,), and ``keys``, float64 (N+1,), whose memory the
-    closed-form search reuses for integers once their floats are spent. The
-    weights handed to the resampler may be ``cumsum`` itself, which the call
-    then overwrites."""
+    ``cumsum``, float64 (N,), ``keys``, float64 (N+1,), whose memory the
+    closed-form search reuses for integers once their floats are spent, and
+    ``indices``, intp (N,), the closed-form search's result. The weights
+    handed to the resampler may be ``cumsum`` itself, which the call then
+    overwrites."""
 
     def __init__(self, n: int):
         self.cumsum = np.empty(n)
         self.keys = np.empty(n + 1)
+        self.indices = np.empty(n, dtype=np.intp)
 
 
-def _checked_cumsum(weights, out=None) -> np.ndarray:
-    """The weights' cumulative sum, its last entry pinned to exactly 1 so a
-    rounding shortfall cannot walk past the last index. The sum check reads
-    the entry before the pin, so the weights are summed once."""
-    cumsum = np.cumsum(real_array("weights", weights), out=out)
+def _checked_cumsum(weights, scratch=None) -> np.ndarray:
+    """The weights' cumulative sum, into ``scratch.cumsum`` if a scratch is
+    given, its last entry pinned to exactly 1 so a rounding shortfall cannot
+    walk past the last index. The sum check reads the entry before the pin,
+    so the weights are summed once."""
+    w = real_array("weights", weights)
+    if scratch is not None and scratch.cumsum.size != w.size:
+        raise ArgumentError("scratch", f"is for {scratch.cumsum.size} weights, got {w.size}")
+    cumsum = np.cumsum(w, out=None if scratch is None else scratch.cumsum)
     _require_sum(cumsum[-1] if cumsum.size else np.float64(0.0))
     cumsum[-1] = 1.0
     return cumsum
@@ -77,32 +83,29 @@ def effective_sample_size(weights) -> float:
     """N_eff = 1 / sum(w^2) for weights that sum to 1, taken as
     (sum e)^2 / sum(e^2) on e = w / max(w) (see core._ess): exactly N for N
     equal weights, 1 for a one-hot vector."""
-    return _effective_sample_size(real_array("weights", weights), None)
-
-
-def _effective_sample_size(w: np.ndarray, out) -> float:
-    """effective_sample_size of the float weights w, with e written into
-    ``out`` in place of a fresh array; out may be w itself."""
+    w = real_array("weights", weights)
     _require_sum(w.sum())
-    e = np.divide(w, w.max(), out)
+    e = w / w.max()
     return _ess(e, e.sum())
 
 
-def systematic_resample(weights, u: float, out=None, scratch=None) -> np.ndarray:
+def systematic_resample(weights, u: float, scratch=None) -> np.ndarray:
     """Resample indices on a single stride of positions (i + u) / N.
 
     Positions are walked against the cumulative weight sum with strict
     less-than comparison. The final cumulative entry is pinned to exactly 1
     so a rounding shortfall in the sum cannot walk past the last index.
     Deterministic given (weights, u); each index i appears floor(N*w_i) or
-    ceil(N*w_i) times. The weights are checked before u. ``out``, an intp
-    (N,) array, receives the indices, and ``scratch`` (a ResampleScratch for
-    N) holds the search's arrays, in place of fresh ones.
+    ceil(N*w_i) times. The weights are checked before u. ``scratch`` (a
+    ResampleScratch for N) holds the search's arrays in place of fresh ones.
 
     From CLOSED_FORM_MIN_N weights on, the search runs in closed form (see
     _closed_form_search); it returns searchsorted's indices bit for bit.
+    Away from a near tie they are the scratch's ``indices``, which the next
+    call overwrites; below CLOSED_FORM_MIN_N, and on a near tie, they are a
+    fresh array.
     """
-    cumsum = _checked_cumsum(weights, None if scratch is None else scratch.cumsum)
+    cumsum = _checked_cumsum(weights, scratch)
     # the step's float passes on the compare alone; anything else meets the
     # numeric rule first
     if not (isinstance(u, float) and 0.0 <= u < 1.0):
@@ -110,12 +113,12 @@ def systematic_resample(weights, u: float, out=None, scratch=None) -> np.ndarray
         if not 0.0 <= u < 1.0:
             raise ArgumentError("u", f"must be in [0, 1), got {shown(u)}")
     if cumsum.size >= CLOSED_FORM_MIN_N:
-        return _closed_form_search(cumsum, float(u), out, scratch or ResampleScratch(cumsum.size))
-    return _binary_search(cumsum, u, out)
+        return _closed_form_search(cumsum, float(u), scratch or ResampleScratch(cumsum.size))
+    return _binary_search(cumsum, u)
 
 
-def _binary_search(cumsum: np.ndarray, u: float, out) -> np.ndarray:
-    """searchsorted(cumsum, side="right") at the positions (i + u) / N, into ``out`` if given."""
+def _binary_search(cumsum: np.ndarray, u: float) -> np.ndarray:
+    """searchsorted(cumsum, side="right") at the positions (i + u) / N."""
     n = cumsum.size
     positions = np.arange(n, dtype=float)
     positions += u
@@ -124,17 +127,13 @@ def _binary_search(cumsum: np.ndarray, u: float, out) -> np.ndarray:
     # 1; pull it back inside [0, 1) so the strict walk stays in range. Every
     # earlier position is at most (n-1)/n, well below 1.
     positions[-1] = min(positions[-1], _BELOW_ONE)
-    indices = cumsum.searchsorted(positions, side="right")
-    if out is None:
-        return indices
-    out[...] = indices
-    return out
+    return cumsum.searchsorted(positions, side="right")
 
 
-def _closed_form_search(cumsum: np.ndarray, u: float, out, scratch: ResampleScratch) -> np.ndarray:
+def _closed_form_search(cumsum: np.ndarray, u: float, scratch: ResampleScratch) -> np.ndarray:
     """searchsorted(cumsum, positions, side="right") for systematic_resample's
-    positions p_i, in O(N) passes and, away from a near tie, no fresh array
-    but ``out`` when it is None.
+    positions p_i, in O(N) passes and, away from a near tie, no fresh array:
+    the indices are ``scratch.indices``.
 
     The index of position i is the number of cumulative entries c_j <= p_i.
     Counted from the other side, K_j, the number of positions below c_j,
@@ -162,7 +161,7 @@ def _closed_form_search(cumsum: np.ndarray, u: float, out, scratch: ResampleScra
     reproduces, runs instead on the cumulative sum, still intact.
     """
     n = cumsum.size
-    k = np.empty(n, dtype=np.intp) if out is None else out
+    k = scratch.indices
     probe = scratch.keys[:n]
     np.multiply(cumsum, n, out=probe)
     probe -= u
@@ -171,7 +170,7 @@ def _closed_form_search(cumsum: np.ndarray, u: float, out, scratch: ResampleScra
     gap = np.subtract(k_hat, probe, out=probe)
     margin = n * 2.0**-48
     if gap.min() < margin or gap.max() > 1.0 - margin:
-        return _binary_search(cumsum, u, k)
+        return _binary_search(cumsum, u)
     # the cumulative sum is spent: it takes K as integers
     counted = np.clip(k_hat, 0, n, out=cumsum.view(np.intp), casting="unsafe")
     counts = scratch.keys.view(np.intp)[: n + 1]
@@ -187,12 +186,9 @@ def multinomial_resample(weights, rng: RngStream, scratch=None) -> np.ndarray:
     distribution. ``scratch`` (a ResampleScratch for N) holds the cumulative
     sum and the draws in place of fresh arrays; the indices are fresh.
     """
-    if scratch is None:
-        cumsum = _checked_cumsum(weights)
-        draws = rng.uniform(cumsum.size)
-    else:
-        cumsum = _checked_cumsum(weights, scratch.cumsum)
-        draws = rng.uniform(cumsum.size, scratch.keys[: cumsum.size])
+    cumsum = _checked_cumsum(weights, scratch)
+    n = cumsum.size
+    draws = rng.uniform(n, None if scratch is None else scratch.keys[:n])
     # searchsorted is monotone in its key, so sorting the draws first gives
     # the same indices as sorting the result, and the ordered lookups are
     # cheaper.

@@ -17,7 +17,7 @@ from . import filter as sir
 from .core import ArgumentError, RngStream, check_arg, is_integer, real_array, shown, weighted_mean
 from .filter import FilterState, GaussianPrior
 from .models import DimensionMismatch, propagate
-from .resampling import ResamplePolicy, _effective_sample_size, effective_sample_size
+from .resampling import ResamplePolicy, effective_sample_size
 
 
 @dataclass
@@ -149,9 +149,7 @@ def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
         if k in dump_steps:
             trace.snapshots[k] = _snapshot(state)
 
-    # the weights are a fresh exp of the log-weights, so they take e in place
-    weights = state.set.weights
-    trace.final_ess = _effective_sample_size(weights, weights)
+    trace.final_ess = effective_sample_size(state.set.weights)
     return trace
 
 

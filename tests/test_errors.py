@@ -29,6 +29,7 @@ from smcfilter.models import (
 from smcfilter.resampling import (
     NotNormalized,
     ResamplePolicy,
+    ResampleScratch,
     effective_sample_size,
     multinomial_resample,
     systematic_resample,
@@ -73,6 +74,9 @@ CASES = {
     "normalize-collapsed": (lambda: normalize_weights([-np.inf, -np.inf]),
                             AllWeightsCollapsed, "log_weights", None),
     "normalize-string": (lambda: normalize_weights([0.0, "1"]), ArgumentError, "log_weights", 1),
+    "normalize-out-shape": (lambda: normalize_weights([0.0, 0.0], np.empty(3)), ArgumentError, "out", None),
+    "normalize-out-dtype": (lambda: normalize_weights([0.0, 0.0], np.empty(2, dtype=np.float32)),
+                            ArgumentError, "out", None),
     "policy-scheme": (lambda: ResamplePolicy("stratified"), ArgumentError, "scheme", None),
     "policy-fraction": (lambda: ResamplePolicy("systematic", 1.5),
                         ArgumentError, "threshold_fraction", None),
@@ -81,8 +85,12 @@ CASES = {
     "systematic-u-huge-int": (lambda: systematic_resample([1.0], 10**5000), ArgumentError, "u", None),
     "systematic-u-list": (lambda: systematic_resample([1.0], [0.5]), ArgumentError, "u", None),
     "systematic-u-range": (lambda: systematic_resample([1.0], 1.0), ArgumentError, "u", None),
+    "systematic-scratch-size": (lambda: systematic_resample([0.5, 0.5], 0.5, ResampleScratch(3)),
+                                ArgumentError, "scratch", None),
     "multinomial-unnormalized": (lambda: multinomial_resample([0.5], RngStream(0)),
                                  NotNormalized, "weights", None),
+    "multinomial-scratch-size": (lambda: multinomial_resample([0.5, 0.5], RngStream(0), ResampleScratch(3)),
+                                 ArgumentError, "scratch", None),
     "rw1d-q": (lambda: RandomWalk1D(q=-1.0), ArgumentError, "q", None),
     "cv2d-r": (lambda: ConstantVelocity2D(r_meas=0.0), ArgumentError, "r_meas", None),
     "propagate-x": (lambda: propagate(RW, [[0.0, 0.0]], [[0.0, 0.0]]), DimensionMismatch, "x", None),

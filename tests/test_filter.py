@@ -188,7 +188,7 @@ class TestInit:
             tracemalloc.stop()
         work = state._workspace
         arrays = (*work.kept, *work.free[0], work.free[1], work.search.cumsum,
-                  work.search.keys, work.indices)
+                  work.search.keys, work.search.indices)
         assert peak - start < sum(a.nbytes for a in arrays) + 8 * n
 
 
