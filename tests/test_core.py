@@ -106,6 +106,17 @@ class TestNormalizeWeights:
         assert (info.value.name, info.value.index) == ("log_weights", index)
         assert info.value.rule.startswith(rule)
 
+    @pytest.mark.parametrize("lw, weights, ess", [
+        ([1e308, -1e308], [1.0, 0.0], 1.0),  # the difference overflows to -inf
+        ([np.inf, 0.0], [np.nan, np.nan], np.nan),  # inf - inf is NaN
+    ], ids=["difference-past-the-float-range", "plus-inf"])
+    def test_float_range_edges_give_no_warning(self, lw, weights, ess):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _, _, got = normalize_weights(lw)
+        np.testing.assert_array_equal(out, weights)
+        np.testing.assert_array_equal(got, ess)
+
     def test_extreme_magnitudes_do_not_underflow(self):
         out, _, _, _ = normalize_weights(np.array([-2000.0, -2001.0]))
         assert abs(out.sum() - 1.0) < 1e-9

@@ -53,6 +53,11 @@ def nan_weight_state():
     return state
 
 
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def scenario():
     return Scenario(RW, 5, PRIOR, [0.0], 10)
 
@@ -77,11 +82,21 @@ CASES = {
     "normalize-out-shape": (lambda: normalize_weights([0.0, 0.0], np.empty(3)), ArgumentError, "out", None),
     "normalize-out-dtype": (lambda: normalize_weights([0.0, 0.0], np.empty(2, dtype=np.float32)),
                             ArgumentError, "out", None),
+    "normalize-out-read-only": (lambda: normalize_weights([0.0, 0.0], read_only(np.empty(2))),
+                                ArgumentError, "out", None),
+    "normalize-2d": (lambda: normalize_weights([[0.0, 0.0]]), ArgumentError, "log_weights", None),
+    "normalize-scalar": (lambda: normalize_weights(0.0), ArgumentError, "log_weights", None),
     "policy-scheme": (lambda: ResamplePolicy("stratified"), ArgumentError, "scheme", None),
     "policy-fraction": (lambda: ResamplePolicy("systematic", 1.5),
                         ArgumentError, "threshold_fraction", None),
     "ess-unnormalized": (lambda: effective_sample_size([0.5, 0.6]), NotNormalized, "weights", None),
+    "ess-2d": (lambda: effective_sample_size([[0.5, 0.5]]), ArgumentError, "weights", None),
+    "ess-empty": (lambda: effective_sample_size([]), NotNormalized, "weights", None),
+    "scratch-negative": (lambda: ResampleScratch(-1), ArgumentError, "n", None),
+    "scratch-float": (lambda: ResampleScratch(2.5), ArgumentError, "n", None),
     "systematic-unnormalized": (lambda: systematic_resample([0.5], 0.5), NotNormalized, "weights", None),
+    "systematic-2d": (lambda: systematic_resample([[0.5, 0.5]], 0.5), ArgumentError, "weights", None),
+    "systematic-empty": (lambda: systematic_resample([], 0.5), NotNormalized, "weights", None),
     "systematic-u-huge-int": (lambda: systematic_resample([1.0], 10**5000), ArgumentError, "u", None),
     "systematic-u-list": (lambda: systematic_resample([1.0], [0.5]), ArgumentError, "u", None),
     "systematic-u-range": (lambda: systematic_resample([1.0], 1.0), ArgumentError, "u", None),
@@ -89,6 +104,8 @@ CASES = {
                                 ArgumentError, "scratch", None),
     "multinomial-unnormalized": (lambda: multinomial_resample([0.5], RngStream(0)),
                                  NotNormalized, "weights", None),
+    "multinomial-2d": (lambda: multinomial_resample([[0.5, 0.5]], RngStream(0)),
+                       ArgumentError, "weights", None),
     "multinomial-scratch-size": (lambda: multinomial_resample([0.5, 0.5], RngStream(0), ResampleScratch(3)),
                                  ArgumentError, "scratch", None),
     "rw1d-q": (lambda: RandomWalk1D(q=-1.0), ArgumentError, "q", None),
@@ -120,6 +137,9 @@ CASES = {
     "run-seed": (lambda: run_scenario(scenario(), -1), ArgumentError, "seed", None),
     "rmse-shape": (lambda: rmse(np.zeros((3, 2)), np.zeros((3, 3))), DimensionMismatch, "b", None),
     "rmse-element": (lambda: rmse([0.0, "x"], [0.0, 0.0]), ArgumentError, "a", 1),
+    "rmse-empty": (lambda: rmse([], []), ArgumentError, "a", None),
+    "rmse-scalar": (lambda: rmse(1.0, 2.0), ArgumentError, "a", None),
+    "rmse-b-3d": (lambda: rmse(np.zeros((2, 1)), np.zeros((2, 1, 1))), ArgumentError, "b", None),
 }
 
 

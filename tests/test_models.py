@@ -198,6 +198,16 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+@pytest.mark.parametrize("model", [RandomWalk1D(), ConstantVelocity2D()], ids=["rw1d", "cv2d"])
+def test_propagate_past_the_largest_double_is_inf_without_warning(model):
+    x = np.zeros(model.state_dim)
+    x[0] = 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = propagate(model, x, x)
+    assert got[0] == np.inf and (got[1:] == 0.0).all()
+
+
 class TestPropagateIntoOut:
     """With ``out``, _propagate writes a built-in model's f(x) into it and adds
     the noise in place: bit for bit np.add(model.f(x), noise)."""

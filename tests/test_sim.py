@@ -277,6 +277,23 @@ def test_extreme_variances_run_without_warning(model, degenerate, unique, seed):
     assert low <= len(np.unique(trace.snapshots[29][0], axis=0)) <= high
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_log_weight_past_the_float_range_is_a_zero_weight_without_warning(seed):
+    """At threshold 0 nothing resets the weights, so a far particle's
+    log-weight plus its predecessor passes the float range: it is -inf, a
+    weight of exactly 0, with no warning."""
+    prior = GaussianPrior([0.0], [1e4])
+    scenario = Scenario(RandomWalk1D(q=0.0, r=1e-300), 30, prior, [0.0], 200,
+                        ResamplePolicy("systematic", 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_scenario(scenario, seed, dump_steps=[29])
+    assert np.isfinite(trace.estimate).all()
+    assert not trace.degenerate.any() and not trace.resampled.any()
+    assert trace.ess[1:].min() == trace.final_ess == 1.0
+    assert (trace.snapshots[29][1] == 0.0).sum() == 199
+
+
 class TestRmse:
     def test_identical_sequences(self):
         a = np.arange(12.0).reshape(6, 2)
