@@ -22,26 +22,22 @@ from .core import (
     RngStream,
     check_arg,
     map_estimate,
-    normalize_weights,
     real_array,
     shown,
     weighted_mean,
 )
-from .models import DimensionMismatch, check_measurement
 # The step runs the unchecked kernels on arrays it built itself. They are
 # bound under the public names because the benchmark's layer tracer times
-# the models.* layers through smcfilter.filter.propagate and
-# smcfilter.filter.log_likelihood; once it hooks the kernels by their own
-# names, these aliases go.
+# the core.normalize, models.* and resampling.resample layers through
+# smcfilter.filter's normalize_weights, propagate, log_likelihood and
+# resamplers; once it hooks the kernels by their own names, these aliases go.
+from .core import _normalize as normalize_weights
+from .models import DimensionMismatch, check_measurement
 from .models import _log_likelihood as log_likelihood
 from .models import _propagate as propagate
-from .resampling import (
-    NotNormalized,
-    ResamplePolicy,
-    ResampleScratch,
-    multinomial_resample,
-    systematic_resample,
-)
+from .resampling import NotNormalized, ResamplePolicy, ResampleScratch
+from .resampling import _multinomial as multinomial_resample
+from .resampling import _systematic as systematic_resample
 
 ESTIMATORS = ("weighted_mean", "map")
 
@@ -80,20 +76,19 @@ _TILE = 256
 
 class _Workspace:
     """The arrays a FilterState owns, for N particles of length n, so that a
-    step of a model with ``_f`` (see models._propagate) makes no
+    step of a model with ``_f_plus`` (see models._propagate) makes no
     particle-sized array; another model's f output is the one it makes.
 
     Three (N, n) particle buffers rotate between the current cloud, the
-    prediction, which model._f fills before the noise is added in place,
-    and a spare that takes the noise draw, then the resampled cloud; two
-    (N,) log-weight buffers alternate. All are allocated here with np.empty,
-    so a page no step has written costs no memory. ``kept`` is the
-    (particles, log_weights) pair the state's set holds and ``free`` the
-    ((prediction, spare), log_weights) buffers the next step writes into.
-    ``search`` holds the normalized weights (as its cumsum, which a resample
-    overwrites), the likelihood's later columns (as its keys) and the
-    closed-form systematic search's indices. One state holds it: a copy or
-    pickle of the state leaves it out (see FilterState).
+    prediction, f(x) + noise, and a spare that takes the noise draw, then
+    the resampled cloud; two (N,) log-weight buffers alternate. All are
+    allocated here with np.empty, so a page no step has written costs no
+    memory. ``kept`` is the (particles, log_weights) pair the state's set
+    holds and ``free`` the ((prediction, spare), log_weights) buffers the
+    next step writes into. ``search`` holds the normalized weights (as its
+    cumsum, which a resample overwrites), the likelihood's later columns (as
+    its keys) and the resampler's arrays (see ResampleScratch). One state
+    holds it: a copy or pickle of the state leaves it out (see FilterState).
     """
 
     def __init__(self, n_particles: int, dim: int):
@@ -260,7 +255,8 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     # NaN that f(x) + noise then leaves is rejected by the finite guard,
     # which raises in place of the warning. A residual too large to square,
     # or a log-weight plus its predecessor past the float range, overflows
-    # to -inf: a weight of exactly 0.
+    # to -inf: a weight of exactly 0; so does lw - m for m > 0, and
+    # m = +inf leaves NaN weights, which the NaN ESS below reports.
     with np.errstate(over="ignore", invalid="ignore"):
         predicted = propagate(model, x, spare, predicted)
         # A sum of squares is finite only if every particle is. np.vdot
@@ -273,14 +269,14 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
         # Weight update in the log domain, in the workspace's arrays.
         log_w = log_likelihood(model, z, predicted, log_w, search.keys[:n])
         log_w += prev
-    degenerate = False
-    try:
-        weights, m, s, ess = normalize_weights(log_w, search.cumsum)
-    except AllWeightsCollapsed:
-        # Recover instead of aborting: reset to uniform and flag the event.
-        # Uniform weights have ESS = N, so the reset never resamples.
-        degenerate = True
-        ess = float(n)
+        degenerate = False
+        try:
+            weights, m, s, ess = normalize_weights(log_w, search.cumsum)
+        except AllWeightsCollapsed:
+            # Recover instead of aborting: reset to uniform and flag it.
+            # Uniform weights have ESS = N, so the reset never resamples.
+            degenerate = True
+            ess = float(n)
     if ess != ess:
         raise NotNormalized("weights", "are NaN: a log-weight is NaN or +inf")
 
@@ -294,14 +290,13 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
         # buffered copy it makes of out under the default "raise"
         predicted, spare = predicted.take(indices, 0, spare, "clip"), predicted
     # Resampling and a collapse both reset the weights to uniform. A step
-    # that keeps them normalizes its own array in place, (lw - m) - log(s)
-    # in that order (see normalize_weights).
+    # that keeps them finishes (lw - m) - log(s) in place, in that order:
+    # normalize_weights left lw - m in log_w (see core._normalize).
     if resampled or degenerate:
         log_w.fill(work.log_uniform)
         weights = search.cumsum
         weights.fill(work.uniform)
     else:
-        log_w -= m
         log_w -= np.log(s)
 
     # The estimate comes from the weights the step ends with; ties in the

@@ -104,9 +104,10 @@ class RandomWalk1D(StateSpaceModel):
     def f(self, x):
         return np.asarray(x, dtype=float).copy()
 
-    def _f(self, x: np.ndarray, out: np.ndarray) -> None:
-        """f(x) into ``out``, a float64 array of x's shape (see _propagate)."""
-        np.copyto(out, x)
+    def _f_plus(self, x: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """f(x) + noise into ``out``, a float64 array of x's shape (see
+        _propagate)."""
+        return np.add(x, noise, out)
 
     def h(self, x):
         """Read-only view of x."""
@@ -151,18 +152,19 @@ class ConstantVelocity2D(StateSpaceModel):
         with np.errstate(over="ignore", invalid="ignore"):
             return np.asarray(x, dtype=float) @ self._transition.T
 
-    def _f(self, x: np.ndarray, out: np.ndarray) -> None:
-        """f(x) into ``out``, a float64 array of x's shape (see _propagate),
-        under the caller's error state."""
+    def _f_plus(self, x: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """f(x) + noise into ``out``, a float64 array of x's shape (see
+        _propagate), under the caller's error state."""
         np.matmul(x, self._transition.T, out=out)
+        return np.add(out, noise, out)
 
     def h(self, x):
         """Read-only view of the position components of x."""
         return _read_only(np.asarray(x, dtype=float)[..., :2])
 
 
-# The f methods whose model also writes f(x) into a given array, as _f (see
-# _propagate); a subclass that redefines f steps through its own f.
+# The f methods whose model also writes f(x) + noise into a given array, as
+# _f_plus (see _propagate); a subclass that redefines f steps through its own f.
 _F_WITH_OUT = (RandomWalk1D.f, ConstantVelocity2D.f)
 
 
@@ -201,15 +203,14 @@ def _propagate(model, x: np.ndarray, noise: np.ndarray, out=None) -> np.ndarray:
     f(x) + noise in place of a fresh array. It runs under the caller's
     error state.
 
-    A model whose f is a built-in model's (see _F_WITH_OUT) writes f(x)
-    into out with its ``_f(x, out)``, no array of its own; any other model's
-    f output is added to the noise as a fresh array.
+    A model whose f is a built-in model's (see _F_WITH_OUT) writes
+    f(x) + noise into out with its ``_f_plus(x, noise, out)``, no array of
+    its own; any other model's f output is added to the noise as a fresh
+    array.
     """
     if out is None or type(model).f not in _F_WITH_OUT:
         return np.add(model.f(x), noise, out)
-    model._f(x, out)
-    out += noise
-    return out
+    return model._f_plus(x, noise, out)
 
 
 def check_measurement(model, z) -> np.ndarray:

@@ -45,38 +45,45 @@ class ResamplePolicy:
         object.__setattr__(self, "threshold_fraction", float(fraction))
 
 
-def _require_sum(total) -> None:
-    # written so that a NaN sum fails too
-    if not abs(total - 1.0) <= 1e-6:
-        raise NotNormalized("weights", f"sum to {float(total)!r}, expected 1")
-
-
 class ResampleScratch:
     """Arrays that a resampler of N weights fills in place of fresh ones:
     ``cumsum``, float64 (N,), ``keys``, float64 (N+1,), whose memory the
-    closed-form search reuses for integers once their floats are spent, and
-    ``indices``, intp (N,), the closed-form search's result. The weights
-    handed to the resampler may be ``cumsum`` itself, which the call then
-    overwrites."""
+    closed-form search reuses for integers once their floats are spent,
+    ``indices``, intp (N,), the closed-form search's result, and ``arange``,
+    the floats 0 .. N-1 of the binary search, held only below
+    CLOSED_FORM_MIN_N (else None). The weights handed to the resampler may
+    be ``cumsum`` itself, which the call then overwrites."""
 
     def __init__(self, n: int):
         check_arg("n", n, low=1, integer=True)
         self.cumsum = np.empty(n)
         self.keys = np.empty(n + 1)
         self.indices = np.empty(n, dtype=np.intp)
+        self.arange = np.arange(n, dtype=float) if n < CLOSED_FORM_MIN_N else None
 
 
-def _checked_cumsum(weights, scratch=None) -> np.ndarray:
-    """The weights' cumulative sum, into ``scratch.cumsum`` if a scratch is
-    given, its last entry pinned to exactly 1 so a rounding shortfall cannot
-    walk past the last index. The sum check reads the entry before the pin,
-    so the weights are summed once. Weights that are not 1-D raise
-    ArgumentError."""
+def _checked_weights(weights, scratch=None) -> np.ndarray:
+    """``weights`` as a float array, the rule of every public function here:
+    one 1-D array (else ArgumentError), summing to 1 within 1e-6 (else
+    NotNormalized, so too for a NaN sum) and with no negative entry (else
+    NotNormalized at the first). ``scratch`` must be for as many weights."""
     w = weight_vector("weights", weights)
     if scratch is not None and scratch.cumsum.size != w.size:
         raise ArgumentError("scratch", f"is for {scratch.cumsum.size} weights, got {w.size}")
-    cumsum = np.cumsum(w, out=None if scratch is None else scratch.cumsum)
-    _require_sum(cumsum[-1] if cumsum.size else np.float64(0.0))
+    total = w.sum()
+    # written so that a NaN sum fails too
+    if not abs(total - 1.0) <= 1e-6:
+        raise NotNormalized("weights", f"sum to {float(total)!r}, expected 1")
+    if not w.min() >= 0.0:
+        i = int(np.argmax(w < 0.0))
+        raise NotNormalized("weights", f"must be >= 0, got {w[i]}", i)
+    return w
+
+
+def _pinned_cumsum(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.cumsum(w, out=out) with its last entry pinned to exactly 1, so a
+    rounding shortfall cannot walk past the last index."""
+    cumsum = np.cumsum(w, out=out)
     cumsum[-1] = 1.0
     return cumsum
 
@@ -84,10 +91,9 @@ def _checked_cumsum(weights, scratch=None) -> np.ndarray:
 def effective_sample_size(weights) -> float:
     """N_eff = 1 / sum(w^2) for weights that sum to 1, taken as
     (sum e)^2 / sum(e^2) on e = w / max(w) (see core._ess): exactly N for N
-    equal weights, 1 for a one-hot vector. Weights that are not 1-D raise
-    ArgumentError."""
-    w = weight_vector("weights", weights)
-    _require_sum(w.sum())
+    equal weights, 1 for a one-hot vector. Weights are checked as the
+    resamplers check them (see _checked_weights)."""
+    w = _checked_weights(weights)
     e = w / w.max()
     return _ess(e, e.sum())
 
@@ -99,8 +105,9 @@ def systematic_resample(weights, u: float, scratch=None) -> np.ndarray:
     less-than comparison. The final cumulative entry is pinned to exactly 1
     so a rounding shortfall in the sum cannot walk past the last index.
     Deterministic given (weights, u); each index i appears floor(N*w_i) or
-    ceil(N*w_i) times. The weights are checked before u. ``scratch`` (a
-    ResampleScratch for N) holds the search's arrays in place of fresh ones.
+    ceil(N*w_i) times. The weights are checked (see _checked_weights)
+    before u. ``scratch`` (a ResampleScratch for N) holds the search's
+    arrays in place of fresh ones; the search itself is _systematic.
 
     From CLOSED_FORM_MIN_N weights on, the search runs in closed form (see
     _closed_form_search); it returns searchsorted's indices bit for bit.
@@ -108,28 +115,38 @@ def systematic_resample(weights, u: float, scratch=None) -> np.ndarray:
     call overwrites; below CLOSED_FORM_MIN_N, and on a near tie, they are a
     fresh array.
     """
-    cumsum = _checked_cumsum(weights, scratch)
+    w = _checked_weights(weights, scratch)
     # the step's float passes on the compare alone; anything else meets the
     # numeric rule first
     if not (isinstance(u, float) and 0.0 <= u < 1.0):
         check_arg("u", u, scalar=True)
         if not 0.0 <= u < 1.0:
             raise ArgumentError("u", f"must be in [0, 1), got {shown(u)}")
+    return _systematic(w, float(u), scratch or ResampleScratch(w.size))
+
+
+def _systematic(w: np.ndarray, u: float, scratch: ResampleScratch) -> np.ndarray:
+    """systematic_resample without its checks: w float64 (N,), >= 0 and
+    summing to 1, u a float in [0, 1) and scratch a ResampleScratch for N."""
+    cumsum = _pinned_cumsum(w, scratch.cumsum)
     if cumsum.size >= CLOSED_FORM_MIN_N:
-        return _closed_form_search(cumsum, float(u), scratch or ResampleScratch(cumsum.size))
-    return _binary_search(cumsum, u)
+        return _closed_form_search(cumsum, u, scratch)
+    return _binary_search(cumsum, u, scratch)
 
 
-def _binary_search(cumsum: np.ndarray, u: float) -> np.ndarray:
-    """searchsorted(cumsum, side="right") at the positions (i + u) / N."""
+def _binary_search(cumsum: np.ndarray, u: float, scratch: ResampleScratch) -> np.ndarray:
+    """searchsorted(cumsum, side="right") at the positions (i + u) / N, built
+    in ``scratch.keys`` from its ``arange`` (a fresh one from
+    CLOSED_FORM_MIN_N on)."""
     n = cumsum.size
-    positions = np.arange(n, dtype=float)
-    positions += u
+    arange = np.arange(n, dtype=float) if scratch.arange is None else scratch.arange
+    positions = np.add(arange, u, scratch.keys[:n])
     positions /= n
     # (n-1+u)/n can round to exactly 1.0 when u is the largest double below
     # 1; pull it back inside [0, 1) so the strict walk stays in range. Every
     # earlier position is at most (n-1)/n, well below 1.
-    positions[-1] = min(positions[-1], _BELOW_ONE)
+    if positions[-1] == 1.0:
+        positions[-1] = _BELOW_ONE
     return cumsum.searchsorted(positions, side="right")
 
 
@@ -173,7 +190,7 @@ def _closed_form_search(cumsum: np.ndarray, u: float, scratch: ResampleScratch) 
     gap = np.subtract(k_hat, probe, out=probe)
     margin = n * 2.0**-48
     if gap.min() < margin or gap.max() > 1.0 - margin:
-        return _binary_search(cumsum, u)
+        return _binary_search(cumsum, u, scratch)
     # the cumulative sum is spent: it takes K as integers
     counted = np.clip(k_hat, 0, n, out=cumsum.view(np.intp), casting="unsafe")
     counts = scratch.keys.view(np.intp)[: n + 1]
@@ -186,12 +203,20 @@ def multinomial_resample(weights, rng: RngStream, scratch=None) -> np.ndarray:
     """N independent inverse-CDF draws, returned sorted ascending.
 
     Sorting stabilizes traces and tests without changing the resampled
-    distribution. ``scratch`` (a ResampleScratch for N) holds the cumulative
-    sum and the draws in place of fresh arrays; the indices are fresh.
+    distribution. The weights are checked (see _checked_weights) before a
+    draw. ``scratch`` (a ResampleScratch for N) holds the cumulative sum and
+    the draws in place of fresh arrays; the indices are fresh.
     """
-    cumsum = _checked_cumsum(weights, scratch)
+    w = _checked_weights(weights, scratch)
+    return _multinomial(w, rng, scratch or ResampleScratch(w.size))
+
+
+def _multinomial(w: np.ndarray, rng: RngStream, scratch: ResampleScratch) -> np.ndarray:
+    """multinomial_resample without its checks: w float64 (N,), >= 0 and
+    summing to 1, and scratch a ResampleScratch for N."""
+    cumsum = _pinned_cumsum(w, scratch.cumsum)
     n = cumsum.size
-    draws = rng.uniform(n, None if scratch is None else scratch.keys[:n])
+    draws = rng.uniform(n, scratch.keys[:n])
     # searchsorted is monotone in its key, so sorting the draws first gives
     # the same indices as sorting the result, and the ordered lookups are
     # cheaper.

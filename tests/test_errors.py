@@ -92,11 +92,13 @@ CASES = {
     "ess-unnormalized": (lambda: effective_sample_size([0.5, 0.6]), NotNormalized, "weights", None),
     "ess-2d": (lambda: effective_sample_size([[0.5, 0.5]]), ArgumentError, "weights", None),
     "ess-empty": (lambda: effective_sample_size([]), NotNormalized, "weights", None),
+    "ess-negative": (lambda: effective_sample_size([-0.5, 1.5]), NotNormalized, "weights", 0),
     "scratch-negative": (lambda: ResampleScratch(-1), ArgumentError, "n", None),
     "scratch-float": (lambda: ResampleScratch(2.5), ArgumentError, "n", None),
     "systematic-unnormalized": (lambda: systematic_resample([0.5], 0.5), NotNormalized, "weights", None),
     "systematic-2d": (lambda: systematic_resample([[0.5, 0.5]], 0.5), ArgumentError, "weights", None),
     "systematic-empty": (lambda: systematic_resample([], 0.5), NotNormalized, "weights", None),
+    "systematic-negative": (lambda: systematic_resample([0.5, -0.5, 1.0], 0.5), NotNormalized, "weights", 1),
     "systematic-u-huge-int": (lambda: systematic_resample([1.0], 10**5000), ArgumentError, "u", None),
     "systematic-u-list": (lambda: systematic_resample([1.0], [0.5]), ArgumentError, "u", None),
     "systematic-u-range": (lambda: systematic_resample([1.0], 1.0), ArgumentError, "u", None),
@@ -106,6 +108,8 @@ CASES = {
                                  NotNormalized, "weights", None),
     "multinomial-2d": (lambda: multinomial_resample([[0.5, 0.5]], RngStream(0)),
                        ArgumentError, "weights", None),
+    "multinomial-negative": (lambda: multinomial_resample([-0.5, 1.5], RngStream(0)),
+                             NotNormalized, "weights", 0),
     "multinomial-scratch-size": (lambda: multinomial_resample([0.5, 0.5], RngStream(0), ResampleScratch(3)),
                                  ArgumentError, "scratch", None),
     "rw1d-q": (lambda: RandomWalk1D(q=-1.0), ArgumentError, "q", None),

@@ -24,6 +24,7 @@ from smcfilter.core import (
     ArgumentError,
     ParticleSet,
     RngStream,
+    _normalize,
     normalize_weights,
 )
 from smcfilter.models import (
@@ -39,6 +40,9 @@ from smcfilter.resampling import (
     _BELOW_ONE,
     NotNormalized,
     ResamplePolicy,
+    ResampleScratch,
+    _multinomial,
+    _systematic,
     multinomial_resample,
     systematic_resample,
 )
@@ -365,6 +369,68 @@ class TestResampling:
         assert np.array_equal(got, oracle_multinomial(w, oracle_rng))
         # both consumed exactly N uniforms
         assert rng.uniform() == oracle_rng.uniform()
+
+
+class TestKernelsMatchPublic:
+    """The step runs the unchecked weight kernels; the public functions check
+    their input and then run the same kernels, so both give the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5000), seeds, st.floats(0.0, 0.95), magnitudes)
+    def test_normalize(self, n, seed, zero_fraction, magnitude):
+        log_w = RngStream(seed).standard_normal(n) * 10.0 ** (magnitude / 2)
+        log_w[weight_vector(n, seed + 1, zero_fraction) == 0.0] = -np.inf
+        before = log_w.copy()
+        w, m, s, ess = normalize_weights(log_w)
+        assert log_w.tobytes() == before.tobytes()
+        shifted = log_w.copy()
+        kw, km, ks, kess = _normalize(shifted, np.empty(n))
+        assert kw.tobytes() == w.tobytes()
+        assert (km, ks, kess) == (m, s, ess)
+        # the kernel leaves lw - m in its input
+        assert shifted.tobytes() == (log_w - m).tobytes()
+        # out may be the log-weights themselves
+        into = log_w.copy()
+        got = normalize_weights(into, into)
+        assert got[0] is into and into.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 2047, 2048, 10_000])
+    @pytest.mark.parametrize("u", [0.0, 0.5, _BELOW_ONE])
+    def test_systematic(self, n, u):
+        # uniform weights at u = 0 are a near tie for the closed form
+        for w in (np.full(n, 1.0 / n), weight_vector(n, n, 0.0), weight_vector(n, n, 0.5)):
+            expected = systematic_resample(w, u)
+            scratch = ResampleScratch(n)
+            assert np.array_equal(_systematic(w, u, scratch), expected)
+            # the step hands the weights over as the scratch's own cumsum
+            scratch.cumsum[:] = w
+            assert np.array_equal(_systematic(scratch.cumsum, u, scratch), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5000), seeds, st.floats(0.0, 0.95))
+    def test_multinomial(self, n, seed, zero_fraction):
+        w = weight_vector(n, seed, zero_fraction)
+        rng, kernel_rng = RngStream(seed), RngStream(seed)
+        expected = multinomial_resample(w, rng)
+        assert np.array_equal(_multinomial(w, kernel_rng, ResampleScratch(n)), expected)
+        assert kernel_rng.uniform() == rng.uniform()
+
+    @settings(max_examples=40, deadline=None)
+    @given(model_names, st.integers(1, 2000), seeds, st.floats(0.5, 50.0))
+    def test_kept_step_log_weights(self, name, n, seed, spread):
+        """A step that keeps its weights holds (ll + prev - m) - log(s)."""
+        model = MODELS[name](2.0)
+        prev = oracle_normalized_log_weights(RngStream(seed + 2).uniform(n) * spread)
+        state = sir.FilterState(set=ParticleSet(particles(model, n, seed, spread), prev.copy()),
+                                model=model, policy=ResamplePolicy("systematic", 0.0),
+                                rng=RngStream(seed))
+        z = measurement(model, seed, 0)
+        outcome = sir.step(state, z)
+        assert not (outcome.resampled or outcome.degenerate)
+        lw = _log_likelihood(model, check_measurement(model, z), state.set.particles) + prev
+        m = lw.max()
+        expected = (lw - m) - np.log(np.exp(lw - m).sum())
+        assert state.set.log_weights.tobytes() == expected.tobytes()
 
 
 def assert_step_matches_oracle(model, x, log_w, z, seed, policy, estimator="weighted_mean"):

@@ -12,8 +12,9 @@ from smcfilter.resampling import (
     ResamplePolicy,
     ResampleScratch,
     _binary_search,
-    _checked_cumsum,
     _closed_form_search,
+    _pinned_cumsum,
+    _systematic,
     effective_sample_size,
     multinomial_resample,
     systematic_resample,
@@ -214,10 +215,16 @@ class TestClosedFormSearch:
         assert got is scratch.indices
         np.testing.assert_array_equal(got, searchsorted_reference(w, 0.3))
 
+    def test_the_scratch_holds_the_positions_arange_only_below_the_crossover(self):
+        for n in (1, CLOSED_FORM_MIN_N - 1):
+            assert ResampleScratch(n).arange.tobytes() == np.arange(n, dtype=float).tobytes()
+        assert ResampleScratch(CLOSED_FORM_MIN_N).arange is None
+
     @settings(max_examples=300, deadline=None)
     @given(shaped_weights(st.integers(1, 300)), OFFSETS)
     def test_matches_searchsorted_at_any_size(self, w, u):
-        got = _closed_form_search(_checked_cumsum(w), u, ResampleScratch(w.size))
+        scratch = ResampleScratch(w.size)
+        got = _closed_form_search(_pinned_cumsum(w, scratch.cumsum), u, scratch)
         np.testing.assert_array_equal(got, searchsorted_reference(w, u))
 
 
@@ -268,12 +275,14 @@ class TestClosedFormPaths:
     def test_partial_sums_outside_zero_one_are_clipped(self, fallback_calls, u):
         # a negative first weight, and a sum 9e-7 above 1 that the pin of
         # the last partial sum leaves on the one before: ceil(N c - u) is
-        # below 0 for the first entry, and N + 1 for the second last at u = 0.05
+        # below 0 for the first entry, and N + 1 for the second last at u = 0.05.
+        # The public function rejects a negative weight, so the kernel runs.
         n = 100_000
         w = np.full(n, 1.0 / n)
         w[:2] += [-0.3, 0.3]
         w[-2:] = [2.0 / n + 9e-7 - 1e-9, 1e-9]
-        np.testing.assert_array_equal(systematic_resample(w, u), searchsorted_reference(w, u))
+        got = _systematic(w, u, ResampleScratch(n))
+        np.testing.assert_array_equal(got, searchsorted_reference(w, u))
         assert fallback_calls == []
 
     def test_filter_weights_skip_the_binary_search(self, fallback_calls):
