@@ -240,8 +240,7 @@ def normalize_weights(log_weights, out=None) -> tuple[np.ndarray, float, float, 
     ``out``, a writeable float64 array of lw's shape, receives w in place of
     a fresh array; it may be lw itself. Another ``out`` raises ArgumentError.
     Log-weights that are not one non-empty 1-D array raise ArgumentError.
-    The checked log-weights are copied into w and normalized there (see
-    _normalize), so lw itself is left as it was unless it is ``out``.
+    The arithmetic is _normalize's.
     """
     lw = weight_vector("log_weights", log_weights)
     if lw.size < 1:
@@ -251,25 +250,22 @@ def normalize_weights(log_weights, out=None) -> tuple[np.ndarray, float, float, 
         got = (f"{'' if out.flags.writeable else 'read-only '}{out.dtype} {out.shape}"
                if isinstance(out, np.ndarray) else shown(out))
         raise ArgumentError("out", f"must be a writeable float64 array of shape {lw.shape}, got {got}")
-    out = np.empty_like(lw) if out is None else out
-    np.copyto(out, lw)
     # lw - m leaves the float range only for m > 0, m = +inf included: a
     # difference below it is -inf, a weight of 0, and inf - inf is NaN,
     # which the NaN ESS reports
     with np.errstate(over="ignore", invalid="ignore"):
-        return _normalize(out, out)
+        return _normalize(lw, np.empty_like(lw) if out is None else out)
 
 
 def _normalize(lw: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     """normalize_weights without its checks, for a non-empty float64 1-D lw
-    and a float64 w of its shape, which may be lw: lw is shifted in place to
-    lw - m, so a caller that keeps the weights subtracts only log(s) from it.
-    It runs under the caller's error state."""
+    and a float64 w of its shape, which may be lw. It runs under the
+    caller's error state."""
     m = lw.max()
     if m == -np.inf:
         raise AllWeightsCollapsed("log_weights", "are all -inf")
-    lw -= m
-    np.exp(lw, out=w)
+    np.subtract(lw, m, w)
+    np.exp(w, out=w)
     s = w.sum()
     ess = _ess(w, s)
     w /= s

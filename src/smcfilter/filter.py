@@ -290,13 +290,14 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
         # buffered copy it makes of out under the default "raise"
         predicted, spare = predicted.take(indices, 0, spare, "clip"), predicted
     # Resampling and a collapse both reset the weights to uniform. A step
-    # that keeps them finishes (lw - m) - log(s) in place, in that order:
-    # normalize_weights left lw - m in log_w (see core._normalize).
+    # that keeps them normalizes its own array in place, (lw - m) - log(s)
+    # in that order (see normalize_weights).
     if resampled or degenerate:
         log_w.fill(work.log_uniform)
         weights = search.cumsum
         weights.fill(work.uniform)
     else:
+        log_w -= m
         log_w -= np.log(s)
 
     # The estimate comes from the weights the step ends with; ties in the

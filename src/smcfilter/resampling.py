@@ -48,18 +48,16 @@ class ResamplePolicy:
 class ResampleScratch:
     """Arrays that a resampler of N weights fills in place of fresh ones:
     ``cumsum``, float64 (N,), ``keys``, float64 (N+1,), whose memory the
-    closed-form search reuses for integers once their floats are spent,
-    ``indices``, intp (N,), the closed-form search's result, and ``arange``,
-    the floats 0 .. N-1 of the binary search, held only below
-    CLOSED_FORM_MIN_N (else None). The weights handed to the resampler may
-    be ``cumsum`` itself, which the call then overwrites."""
+    closed-form search reuses for integers once their floats are spent, and
+    ``indices``, intp (N,), the closed-form search's result. The weights
+    handed to the resampler may be ``cumsum`` itself, which the call then
+    overwrites."""
 
     def __init__(self, n: int):
         check_arg("n", n, low=1, integer=True)
         self.cumsum = np.empty(n)
         self.keys = np.empty(n + 1)
         self.indices = np.empty(n, dtype=np.intp)
-        self.arange = np.arange(n, dtype=float) if n < CLOSED_FORM_MIN_N else None
 
 
 def _checked_weights(weights, scratch=None) -> np.ndarray:
@@ -131,22 +129,19 @@ def _systematic(w: np.ndarray, u: float, scratch: ResampleScratch) -> np.ndarray
     cumsum = _pinned_cumsum(w, scratch.cumsum)
     if cumsum.size >= CLOSED_FORM_MIN_N:
         return _closed_form_search(cumsum, u, scratch)
-    return _binary_search(cumsum, u, scratch)
+    return _binary_search(cumsum, u)
 
 
-def _binary_search(cumsum: np.ndarray, u: float, scratch: ResampleScratch) -> np.ndarray:
-    """searchsorted(cumsum, side="right") at the positions (i + u) / N, built
-    in ``scratch.keys`` from its ``arange`` (a fresh one from
-    CLOSED_FORM_MIN_N on)."""
+def _binary_search(cumsum: np.ndarray, u: float) -> np.ndarray:
+    """searchsorted(cumsum, side="right") at the positions (i + u) / N."""
     n = cumsum.size
-    arange = np.arange(n, dtype=float) if scratch.arange is None else scratch.arange
-    positions = np.add(arange, u, scratch.keys[:n])
+    positions = np.arange(n, dtype=float)
+    positions += u
     positions /= n
     # (n-1+u)/n can round to exactly 1.0 when u is the largest double below
     # 1; pull it back inside [0, 1) so the strict walk stays in range. Every
     # earlier position is at most (n-1)/n, well below 1.
-    if positions[-1] == 1.0:
-        positions[-1] = _BELOW_ONE
+    positions[-1] = min(positions[-1], _BELOW_ONE)
     return cumsum.searchsorted(positions, side="right")
 
 
@@ -190,7 +185,7 @@ def _closed_form_search(cumsum: np.ndarray, u: float, scratch: ResampleScratch) 
     gap = np.subtract(k_hat, probe, out=probe)
     margin = n * 2.0**-48
     if gap.min() < margin or gap.max() > 1.0 - margin:
-        return _binary_search(cumsum, u, scratch)
+        return _binary_search(cumsum, u)
     # the cumulative sum is spent: it takes K as integers
     counted = np.clip(k_hat, 0, n, out=cumsum.view(np.intp), casting="unsafe")
     counts = scratch.keys.view(np.intp)[: n + 1]

@@ -24,7 +24,6 @@ from smcfilter.models import (
     RandomWalk1D,
 )
 from smcfilter.resampling import (
-    CLOSED_FORM_MIN_N,
     NotNormalized,
     ResamplePolicy,
     effective_sample_size,
@@ -178,9 +177,7 @@ class TestInit:
 
     def test_allocates_only_its_workspace(self):
         """The prior is drawn into the workspace in place: init's traced peak
-        stays below the workspace's own arrays plus one (N,) float array.
-        From CLOSED_FORM_MIN_N on, the workspace holds no arange of the
-        systematic positions."""
+        stays below the workspace's own arrays plus one (N,) float array."""
         n = 20_000
         tracemalloc.start()
         try:
@@ -190,7 +187,6 @@ class TestInit:
         finally:
             tracemalloc.stop()
         work = state._workspace
-        assert n >= CLOSED_FORM_MIN_N and work.search.arange is None
         arrays = (*work.kept, *work.free[0], work.free[1], work.search.cumsum,
                   work.search.keys, work.search.indices)
         assert peak - start < sum(a.nbytes for a in arrays) + 8 * n

@@ -215,11 +215,6 @@ class TestClosedFormSearch:
         assert got is scratch.indices
         np.testing.assert_array_equal(got, searchsorted_reference(w, 0.3))
 
-    def test_the_scratch_holds_the_positions_arange_only_below_the_crossover(self):
-        for n in (1, CLOSED_FORM_MIN_N - 1):
-            assert ResampleScratch(n).arange.tobytes() == np.arange(n, dtype=float).tobytes()
-        assert ResampleScratch(CLOSED_FORM_MIN_N).arange is None
-
     @settings(max_examples=300, deadline=None)
     @given(shaped_weights(st.integers(1, 300)), OFFSETS)
     def test_matches_searchsorted_at_any_size(self, w, u):
