@@ -111,6 +111,14 @@ def check_arg(name: str, value, low=None, high=None, strict=False, integer=False
     return arr
 
 
+def check_log_weights(lw: np.ndarray) -> None:
+    """The rule for log-weights: a float array ``lw`` may hold -inf (a
+    weight of 0) but not NaN or +inf; raise ArgumentError at the first."""
+    if not (lw < np.inf).all():
+        i = int(np.argmin(lw < np.inf))
+        raise ArgumentError("log_weights", f"must not be NaN or +inf, got {lw[i]}", i)
+
+
 class RngStream:
     """Seeded random stream backed by numpy's PCG64 generator.
 
@@ -177,9 +185,7 @@ class ParticleSet:
         lw = real_array("log_weights", self.log_weights)
         if lw.shape != (arr.shape[0],):
             raise ArgumentError("log_weights", f"shape {lw.shape} does not match {arr.shape[0]} particles")
-        if not (lw < np.inf).all():
-            i = int(np.argmin(lw < np.inf))
-            raise ArgumentError("log_weights", f"must not be NaN or +inf, got {lw[i]}", i)
+        check_log_weights(lw)
         self.particles = arr
         self.log_weights = lw
 
@@ -222,45 +228,34 @@ def _ess(e: np.ndarray, s) -> float:
     return float(s * (s / np.vdot(e, e)))
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
-def normalize_weights(log_weights, out=None) -> tuple[np.ndarray, float, float, float]:
+def normalize_weights(log_weights) -> tuple[np.ndarray, float, float, float]:
     """Normalize log-weights: (w, m, s, ess) with m = max(lw),
     s = sum(exp(lw - m)), the linear weights w = exp(lw - m) / s and their
     effective sample size ess = s * (s / sum(exp(lw - m)^2)) (see _ess).
 
     The shift by m makes the largest term exp(0), so underflow can never zero
     out the whole vector; w always sums to 1 up to float rounding. The ESS is
-    taken on the same shifted exponentials before the divide, so it is NaN
-    only if a log-weight is NaN or +inf. m + log(s) is log(sum(exp(lw))).
-    The normalized log-weights are (lw - m) - log(s), subtracted in that
-    order: for |m| beyond ~1e16, m + log(s) rounds to m and lw - (m + log(s))
-    would no longer be normalized (Blanchard, Higham & Higham 2021).
-    ``out``, a writeable float64 array of lw's shape, receives w in place of
-    a fresh array; it may be lw itself. Another ``out`` raises ArgumentError.
-    Log-weights that are not one non-empty 1-D array raise ArgumentError.
-    The arithmetic is _normalize's.
+    taken on the same shifted exponentials before the divide. m + log(s) is
+    log(sum(exp(lw))). The normalized log-weights are (lw - m) - log(s),
+    subtracted in that order: for |m| beyond ~1e16, m + log(s) rounds to m
+    and lw - (m + log(s)) would no longer be normalized (Blanchard, Higham &
+    Higham 2021). Log-weights that are not one non-empty 1-D array, or that
+    hold a NaN or +inf (see check_log_weights), raise ArgumentError. The
+    arithmetic is _normalize's.
     """
     lw = weight_vector("log_weights", log_weights)
     if lw.size < 1:
         raise ArgumentError("log_weights", "must not be empty")
-    if out is not None and (getattr(out, "dtype", None) is not _FLOAT64 or out.shape != lw.shape
-                            or not out.flags.writeable):
-        got = (f"{'' if out.flags.writeable else 'read-only '}{out.dtype} {out.shape}"
-               if isinstance(out, np.ndarray) else shown(out))
-        raise ArgumentError("out", f"must be a writeable float64 array of shape {lw.shape}, got {got}")
-    # lw - m leaves the float range only for m > 0, m = +inf included: a
-    # difference below it is -inf, a weight of 0, and inf - inf is NaN,
-    # which the NaN ESS reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _normalize(lw, np.empty_like(lw) if out is None else out)
+    check_log_weights(lw)
+    # lw - m leaves the float range only for m > 0: a difference below it is
+    # -inf, a weight of 0
+    with np.errstate(over="ignore"):
+        return _normalize(lw, np.empty_like(lw))
 
 
 def _normalize(lw: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     """normalize_weights without its checks, for a non-empty float64 1-D lw
-    and a float64 w of its shape, which may be lw. It runs under the
-    caller's error state."""
+    and a float64 w of its shape. It runs under the caller's error state."""
     m = lw.max()
     if m == -np.inf:
         raise AllWeightsCollapsed("log_weights", "are all -inf")

@@ -46,12 +46,12 @@ class ResamplePolicy:
 
 
 class ResampleScratch:
-    """Arrays that a resampler of N weights fills in place of fresh ones:
-    ``cumsum``, float64 (N,), ``keys``, float64 (N+1,), whose memory the
-    closed-form search reuses for integers once their floats are spent, and
-    ``indices``, intp (N,), the closed-form search's result. The weights
-    handed to the resampler may be ``cumsum`` itself, which the call then
-    overwrites."""
+    """Arrays that a resampling kernel (_systematic, _multinomial) of N
+    weights fills in place of fresh ones: ``cumsum``, float64 (N,), ``keys``,
+    float64 (N+1,), whose memory the closed-form search reuses for integers
+    once their floats are spent, and ``indices``, intp (N,), the closed-form
+    search's result. The weights handed to the kernel may be ``cumsum``
+    itself, which the call then overwrites."""
 
     def __init__(self, n: int):
         check_arg("n", n, low=1, integer=True)
@@ -60,14 +60,12 @@ class ResampleScratch:
         self.indices = np.empty(n, dtype=np.intp)
 
 
-def _checked_weights(weights, scratch=None) -> np.ndarray:
+def _checked_weights(weights) -> np.ndarray:
     """``weights`` as a float array, the rule of every public function here:
     one 1-D array (else ArgumentError), summing to 1 within 1e-6 (else
     NotNormalized, so too for a NaN sum) and with no negative entry (else
-    NotNormalized at the first). ``scratch`` must be for as many weights."""
+    NotNormalized at the first)."""
     w = weight_vector("weights", weights)
-    if scratch is not None and scratch.cumsum.size != w.size:
-        raise ArgumentError("scratch", f"is for {scratch.cumsum.size} weights, got {w.size}")
     total = w.sum()
     # written so that a NaN sum fails too
     if not abs(total - 1.0) <= 1e-6:
@@ -96,7 +94,7 @@ def effective_sample_size(weights) -> float:
     return _ess(e, e.sum())
 
 
-def systematic_resample(weights, u: float, scratch=None) -> np.ndarray:
+def systematic_resample(weights, u: float) -> np.ndarray:
     """Resample indices on a single stride of positions (i + u) / N.
 
     Positions are walked against the cumulative weight sum with strict
@@ -104,23 +102,19 @@ def systematic_resample(weights, u: float, scratch=None) -> np.ndarray:
     so a rounding shortfall in the sum cannot walk past the last index.
     Deterministic given (weights, u); each index i appears floor(N*w_i) or
     ceil(N*w_i) times. The weights are checked (see _checked_weights)
-    before u. ``scratch`` (a ResampleScratch for N) holds the search's
-    arrays in place of fresh ones; the search itself is _systematic.
+    before u. The search itself is _systematic.
 
     From CLOSED_FORM_MIN_N weights on, the search runs in closed form (see
     _closed_form_search); it returns searchsorted's indices bit for bit.
-    Away from a near tie they are the scratch's ``indices``, which the next
-    call overwrites; below CLOSED_FORM_MIN_N, and on a near tie, they are a
-    fresh array.
     """
-    w = _checked_weights(weights, scratch)
-    # the step's float passes on the compare alone; anything else meets the
-    # numeric rule first
+    w = _checked_weights(weights)
+    # a float passes on the compare alone; anything else meets the numeric
+    # rule first
     if not (isinstance(u, float) and 0.0 <= u < 1.0):
         check_arg("u", u, scalar=True)
         if not 0.0 <= u < 1.0:
             raise ArgumentError("u", f"must be in [0, 1), got {shown(u)}")
-    return _systematic(w, float(u), scratch or ResampleScratch(w.size))
+    return _systematic(w, float(u), ResampleScratch(w.size))
 
 
 def _systematic(w: np.ndarray, u: float, scratch: ResampleScratch) -> np.ndarray:
@@ -194,16 +188,15 @@ def _closed_form_search(cumsum: np.ndarray, u: float, scratch: ResampleScratch) 
     return np.cumsum(counts[:n], out=k)
 
 
-def multinomial_resample(weights, rng: RngStream, scratch=None) -> np.ndarray:
+def multinomial_resample(weights, rng: RngStream) -> np.ndarray:
     """N independent inverse-CDF draws, returned sorted ascending.
 
     Sorting stabilizes traces and tests without changing the resampled
     distribution. The weights are checked (see _checked_weights) before a
-    draw. ``scratch`` (a ResampleScratch for N) holds the cumulative sum and
-    the draws in place of fresh arrays; the indices are fresh.
+    draw. The draws and search are _multinomial.
     """
-    w = _checked_weights(weights, scratch)
-    return _multinomial(w, rng, scratch or ResampleScratch(w.size))
+    w = _checked_weights(weights)
+    return _multinomial(w, rng, ResampleScratch(w.size))
 
 
 def _multinomial(w: np.ndarray, rng: RngStream, scratch: ResampleScratch) -> np.ndarray:

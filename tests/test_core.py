@@ -108,8 +108,7 @@ class TestNormalizeWeights:
 
     @pytest.mark.parametrize("lw, weights, ess", [
         ([1e308, -1e308], [1.0, 0.0], 1.0),  # the difference overflows to -inf
-        ([np.inf, 0.0], [np.nan, np.nan], np.nan),  # inf - inf is NaN
-    ], ids=["difference-past-the-float-range", "plus-inf"])
+    ], ids=["difference-past-the-float-range"])
     def test_float_range_edges_give_no_warning(self, lw, weights, ess):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

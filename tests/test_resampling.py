@@ -201,17 +201,18 @@ class TestClosedFormSearch:
     def test_matches_searchsorted_on_both_sides_of_the_crossover(self, w, u):
         expected = searchsorted_reference(w, u)
         np.testing.assert_array_equal(systematic_resample(w, u), expected)
-        # in the caller's scratch, the weights being its cumsum; a near tie
-        # returns the binary search's fresh array, so only values are checked
+        # the kernel in a scratch whose cumsum holds the weights, as the step
+        # hands them over; a near tie returns the binary search's fresh
+        # array, so only values are checked
         scratch = ResampleScratch(w.size)
         scratch.cumsum[:] = w
-        np.testing.assert_array_equal(systematic_resample(scratch.cumsum, u, scratch), expected)
+        np.testing.assert_array_equal(_systematic(scratch.cumsum, u, scratch), expected)
 
     def test_away_from_a_tie_the_indices_are_the_scratch_s(self):
         w = np.random.default_rng(3).random(10_000)
         w /= w.sum()
         scratch = ResampleScratch(w.size)
-        got = systematic_resample(w, 0.3, scratch)
+        got = _systematic(w, 0.3, scratch)
         assert got is scratch.indices
         np.testing.assert_array_equal(got, searchsorted_reference(w, 0.3))
 

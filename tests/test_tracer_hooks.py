@@ -88,25 +88,31 @@ def test_retired_hooks_are_gone():
     ],
 )
 def test_one_step_calls_each_timed_layer_once(monkeypatch, model, prior):
-    """The benchmark times the models.*, core.normalize and core.estimate
-    layers through these smcfilter.filter names, so one step must go through
-    each of them exactly once, and through the state's estimator only,
-    whether or not it resamples."""
-    names = ("propagate", "log_likelihood", "normalize_weights", "weighted_mean", "map_estimate")
-    for threshold in (0.0, 1.0):
-        for estimator, estimate in (("weighted_mean", "weighted_mean"), ("map", "map_estimate")):
-            calls = Counter()
-            for name in names:
+    """The benchmark times the models.*, core.normalize, core.estimate and
+    resampling.resample layers through these smcfilter.filter names, so one
+    step must go through each of them exactly once, through the state's
+    estimator only, and through the policy's resampler only when it
+    resamples."""
+    names = ("propagate", "log_likelihood", "normalize_weights", "weighted_mean", "map_estimate",
+             "systematic_resample", "multinomial_resample")
+    for scheme in ("systematic", "multinomial"):
+        for threshold in (0.0, 1.0):
+            for estimator, estimate in (("weighted_mean", "weighted_mean"), ("map", "map_estimate")):
+                calls = Counter()
+                for name in names:
 
-                def counted(*args, _name=name, _inner=getattr(sir, name)):
-                    calls[_name] += 1
-                    return _inner(*args)
+                    def counted(*args, _name=name, _inner=getattr(sir, name)):
+                        calls[_name] += 1
+                        return _inner(*args)
 
-                monkeypatch.setattr(sir, name, counted)
-            policy = ResamplePolicy("systematic", threshold)
-            state = sir.init(model, prior, 50, RngStream(3), policy, estimator)
-            outcome = sir.step(state, np.ones(model.obs_dim))
-            monkeypatch.undo()
-            assert outcome.resampled == (threshold == 1.0)
-            assert calls == {"propagate": 1, "log_likelihood": 1, "normalize_weights": 1,
-                             estimate: 1}
+                    monkeypatch.setattr(sir, name, counted)
+                policy = ResamplePolicy(scheme, threshold)
+                state = sir.init(model, prior, 50, RngStream(3), policy, estimator)
+                outcome = sir.step(state, np.ones(model.obs_dim))
+                monkeypatch.undo()
+                resampled = threshold == 1.0
+                assert outcome.resampled == resampled
+                expected = {"propagate": 1, "log_likelihood": 1, "normalize_weights": 1, estimate: 1}
+                if resampled:
+                    expected[f"{scheme}_resample"] = 1
+                assert calls == expected
