@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -92,6 +93,27 @@ class TestNormalizeWeights:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             normalize_weights(np.array([]))
+
+    @pytest.mark.parametrize("lw, index", [([np.nan, 0.0], 0), ([0.0, np.inf], 1),
+                                           ([-np.inf, 0.0, np.nan], 2)],
+                             ids=["nan", "plus-inf", "nan-after-minus-inf"])
+    def test_nan_and_plus_inf_rejected_as_particle_set_rejects_them(self, lw, index):
+        with pytest.raises(ArgumentError) as public:
+            normalize_weights(lw)
+        with pytest.raises(ArgumentError) as pset:
+            ParticleSet(np.zeros(len(lw)), lw)
+        assert (public.value.name, public.value.index) == ("log_weights", index)
+        assert str(public.value) == str(pset.value)
+
+    def test_takes_only_the_log_weights(self):
+        assert list(inspect.signature(normalize_weights).parameters) == ["log_weights"]
+
+    def test_weights_are_fresh_and_the_input_is_left_as_it_was(self):
+        lw = np.log(GOLDEN_FACTORS)
+        before = lw.copy()
+        w, _, _, _ = normalize_weights(lw)
+        assert not np.shares_memory(w, lw)
+        assert lw.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
         "bad, rule, index",

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -353,3 +355,24 @@ class TestResamplePolicy:
             ResamplePolicy("systematic", bad)
         assert info.value.name == "threshold_fraction"
         assert info.value.rule == f"must be a real number, got {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "resample, second",
+    [(systematic_resample, "u"), (multinomial_resample, "rng")],
+    ids=["systematic", "multinomial"],
+)
+class TestPublicResamplers:
+    def test_take_no_buffer(self, resample, second):
+        assert list(inspect.signature(resample).parameters) == ["weights", second]
+
+    def test_each_call_returns_indices_of_its_own(self, resample, second):
+        # past CLOSED_FORM_MIN_N the systematic search returns its scratch's indices
+        w = np.full(CLOSED_FORM_MIN_N, 1.0 / CLOSED_FORM_MIN_N)
+
+        def call():
+            return resample(w, 0.3 if second == "u" else RngStream(5))
+
+        first, again = call(), call()
+        assert not np.shares_memory(first, again)
+        np.testing.assert_array_equal(first, again)
