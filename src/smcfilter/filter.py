@@ -35,7 +35,7 @@ from .core import _normalize as normalize_weights
 from .models import DimensionMismatch, check_measurement
 from .models import _log_likelihood as log_likelihood
 from .models import _propagate as propagate
-from .resampling import NotNormalized, ResamplePolicy, ResampleScratch
+from .resampling import NotNormalized, ResamplePolicy, _ResampleScratch
 from .resampling import _multinomial as multinomial_resample
 from .resampling import _systematic as systematic_resample
 
@@ -87,7 +87,7 @@ class _Workspace:
     holds and ``free`` the ((prediction, spare), log_weights) buffers the
     next step writes into. ``search`` holds the normalized weights (as its
     cumsum, which a resample overwrites), the likelihood's later columns (as
-    its keys) and the resampler's arrays (see ResampleScratch). One state
+    its keys) and the resampler's arrays (see _ResampleScratch). One state
     holds it: a copy or pickle of the state leaves it out (see FilterState).
     """
 
@@ -95,7 +95,7 @@ class _Workspace:
         shape = (n_particles, dim)
         self.kept = np.empty(shape), np.empty(n_particles)
         self.free = (np.empty(shape), np.empty(shape)), np.empty(n_particles)
-        self.search = ResampleScratch(n_particles)
+        self.search = _ResampleScratch(n_particles)
         self.log_uniform = -np.log(n_particles)
         self.uniform = 1.0 / n_particles
         self._tile_std = self._tile = None
@@ -203,10 +203,10 @@ def init(
 def step(state: FilterState, z, noises=None) -> StepOutcome:
     """Advance the filter by one measurement.
 
-    The estimator, the particle length and the measurement are checked
-    first: an unknown estimator, a set that does not fit the model, a wrong
-    measurement shape or a non-finite component raises before anything is
-    drawn, leaving the set and the stream untouched. Stream consumption
+    The estimator, the set and the measurement are checked first: an
+    unknown estimator, an empty set or one that does not fit the model, a
+    wrong measurement shape or a non-finite component raises before anything
+    is drawn, leaving the set and the stream untouched. Stream consumption
     order: one process-noise vector per particle in index order (N*n normal
     draws), then, only if resampling fires, one uniform offset (systematic)
     or N uniform draws (multinomial). The estimate is computed after any
@@ -220,6 +220,8 @@ def step(state: FilterState, z, noises=None) -> StepOutcome:
     pset = state.set
     x = pset.particles
     n = pset.n_particles
+    if n < 1:  # a set emptied after construction meets the constructor's rule
+        ParticleSet(x, pset.log_weights)
     if pset.dim != model.state_dim:
         raise DimensionMismatch("particles", f"have length {pset.dim}, model expects {model.state_dim}")
     z = check_measurement(model, z)

@@ -45,16 +45,15 @@ class ResamplePolicy:
         object.__setattr__(self, "threshold_fraction", float(fraction))
 
 
-class ResampleScratch:
+class _ResampleScratch:
     """Arrays that a resampling kernel (_systematic, _multinomial) of N
     weights fills in place of fresh ones: ``cumsum``, float64 (N,), ``keys``,
     float64 (N+1,), whose memory the closed-form search reuses for integers
     once their floats are spent, and ``indices``, intp (N,), the closed-form
     search's result. The weights handed to the kernel may be ``cumsum``
-    itself, which the call then overwrites."""
+    itself, which the call then overwrites. Its callers have checked N >= 1."""
 
     def __init__(self, n: int):
-        check_arg("n", n, low=1, integer=True)
         self.cumsum = np.empty(n)
         self.keys = np.empty(n + 1)
         self.indices = np.empty(n, dtype=np.intp)
@@ -108,18 +107,15 @@ def systematic_resample(weights, u: float) -> np.ndarray:
     _closed_form_search); it returns searchsorted's indices bit for bit.
     """
     w = _checked_weights(weights)
-    # a float passes on the compare alone; anything else meets the numeric
-    # rule first
-    if not (isinstance(u, float) and 0.0 <= u < 1.0):
-        check_arg("u", u, scalar=True)
-        if not 0.0 <= u < 1.0:
-            raise ArgumentError("u", f"must be in [0, 1), got {shown(u)}")
-    return _systematic(w, float(u), ResampleScratch(w.size))
+    check_arg("u", u, scalar=True)
+    if not 0.0 <= u < 1.0:
+        raise ArgumentError("u", f"must be in [0, 1), got {shown(u)}")
+    return _systematic(w, float(u), _ResampleScratch(w.size))
 
 
-def _systematic(w: np.ndarray, u: float, scratch: ResampleScratch) -> np.ndarray:
+def _systematic(w: np.ndarray, u: float, scratch: _ResampleScratch) -> np.ndarray:
     """systematic_resample without its checks: w float64 (N,), >= 0 and
-    summing to 1, u a float in [0, 1) and scratch a ResampleScratch for N."""
+    summing to 1, u a float in [0, 1) and scratch a _ResampleScratch for N."""
     cumsum = _pinned_cumsum(w, scratch.cumsum)
     if cumsum.size >= CLOSED_FORM_MIN_N:
         return _closed_form_search(cumsum, u, scratch)
@@ -139,7 +135,7 @@ def _binary_search(cumsum: np.ndarray, u: float) -> np.ndarray:
     return cumsum.searchsorted(positions, side="right")
 
 
-def _closed_form_search(cumsum: np.ndarray, u: float, scratch: ResampleScratch) -> np.ndarray:
+def _closed_form_search(cumsum: np.ndarray, u: float, scratch: _ResampleScratch) -> np.ndarray:
     """searchsorted(cumsum, positions, side="right") for systematic_resample's
     positions p_i, in O(N) passes and, away from a near tie, no fresh array:
     the indices are ``scratch.indices``.
@@ -196,12 +192,12 @@ def multinomial_resample(weights, rng: RngStream) -> np.ndarray:
     draw. The draws and search are _multinomial.
     """
     w = _checked_weights(weights)
-    return _multinomial(w, rng, ResampleScratch(w.size))
+    return _multinomial(w, rng, _ResampleScratch(w.size))
 
 
-def _multinomial(w: np.ndarray, rng: RngStream, scratch: ResampleScratch) -> np.ndarray:
+def _multinomial(w: np.ndarray, rng: RngStream, scratch: _ResampleScratch) -> np.ndarray:
     """multinomial_resample without its checks: w float64 (N,), >= 0 and
-    summing to 1, and scratch a ResampleScratch for N."""
+    summing to 1, and scratch a _ResampleScratch for N."""
     cumsum = _pinned_cumsum(w, scratch.cumsum)
     n = cumsum.size
     draws = rng.uniform(n, scratch.keys[:n])

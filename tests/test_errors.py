@@ -29,7 +29,6 @@ from smcfilter.models import (
 from smcfilter.resampling import (
     NotNormalized,
     ResamplePolicy,
-    ResampleScratch,
     effective_sample_size,
     multinomial_resample,
     systematic_resample,
@@ -50,6 +49,13 @@ def rw_state(particles=(0.0, 1.0, 2.0)):
 def nan_weight_state():
     state = rw_state()
     state.set.log_weights[1] = np.nan
+    return state
+
+
+def emptied_state():
+    state = rw_state()
+    state.set.particles = np.zeros((0, 1))
+    state.set.log_weights = np.zeros(0)
     return state
 
 
@@ -85,8 +91,6 @@ CASES = {
     "ess-2d": (lambda: effective_sample_size([[0.5, 0.5]]), ArgumentError, "weights", None),
     "ess-empty": (lambda: effective_sample_size([]), NotNormalized, "weights", None),
     "ess-negative": (lambda: effective_sample_size([-0.5, 1.5]), NotNormalized, "weights", 0),
-    "scratch-negative": (lambda: ResampleScratch(-1), ArgumentError, "n", None),
-    "scratch-float": (lambda: ResampleScratch(2.5), ArgumentError, "n", None),
     "systematic-unnormalized": (lambda: systematic_resample([0.5], 0.5), NotNormalized, "weights", None),
     "systematic-2d": (lambda: systematic_resample([[0.5, 0.5]], 0.5), ArgumentError, "weights", None),
     "systematic-empty": (lambda: systematic_resample([], 0.5), NotNormalized, "weights", None),
@@ -94,6 +98,7 @@ CASES = {
     "systematic-u-huge-int": (lambda: systematic_resample([1.0], 10**5000), ArgumentError, "u", None),
     "systematic-u-list": (lambda: systematic_resample([1.0], [0.5]), ArgumentError, "u", None),
     "systematic-u-range": (lambda: systematic_resample([1.0], 1.0), ArgumentError, "u", None),
+    "systematic-u-nan": (lambda: systematic_resample([1.0], np.nan), ArgumentError, "u", None),
     "multinomial-unnormalized": (lambda: multinomial_resample([0.5], RngStream(0)),
                                  NotNormalized, "weights", None),
     "multinomial-2d": (lambda: multinomial_resample([[0.5, 0.5]], RngStream(0)),
@@ -121,6 +126,8 @@ CASES = {
                              DimensionMismatch, "particles", None),
     "step-particle-overflow": (lambda: sir.step(rw_state([0.0, 1.5e308, 0.0]), 0.0, [0.0, 1.5e308, 0.0]),
                                ArgumentError, "predicted", 1),
+    "step-particles-emptied": (lambda: sir.step(emptied_state(), 0.0),
+                               ArgumentError, "particles", None),
     "step-weights-nan": (lambda: sir.step(nan_weight_state(), 0.0), NotNormalized, "weights", None),
     "scenario-horizon": (lambda: Scenario(RW, 0, PRIOR, [0.0], 10), ArgumentError, "t_steps", None),
     "scenario-truth": (lambda: Scenario(RW, 5, PRIOR, [0.0, 0.0], 10),

@@ -359,6 +359,18 @@ class TestStep:
             # not one draw was spent
             assert state.rng.standard_normal() == RngStream(9).standard_normal()
 
+    def test_emptied_set_rejected_before_any_draw(self):
+        state = init(RW, GaussianPrior([0.0], [2.0]), 5, RngStream(9))
+        state.set.particles, state.set.log_weights = np.zeros((0, 1)), np.zeros(0)
+        before = state.set
+        with pytest.raises(ArgumentError) as info:
+            step(state, 0.0)
+        assert str(info.value) == "particles must be a non-empty (N, n) array, got shape (0, 1)"
+        assert state.set is before and before.particles.shape == (0, 1)
+        # not one draw was spent past the prior's
+        twin = init(RW, GaussianPrior([0.0], [2.0]), 5, RngStream(9))
+        assert state.rng.uniform() == twin.rng.uniform()
+
     def test_propagate_overflow_raises_value_error(self):
         state = init(RW, GaussianPrior([1.5e308], [0.0]), 5, RngStream(1))
         before = state.set

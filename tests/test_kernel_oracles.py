@@ -40,7 +40,7 @@ from smcfilter.resampling import (
     _BELOW_ONE,
     NotNormalized,
     ResamplePolicy,
-    ResampleScratch,
+    _ResampleScratch,
     _multinomial,
     _systematic,
     multinomial_resample,
@@ -394,7 +394,7 @@ class TestKernelsMatchPublic:
         # uniform weights at u = 0 are a near tie for the closed form
         for w in (np.full(n, 1.0 / n), weight_vector(n, n, 0.0), weight_vector(n, n, 0.5)):
             expected = systematic_resample(w, u)
-            scratch = ResampleScratch(n)
+            scratch = _ResampleScratch(n)
             assert np.array_equal(_systematic(w, u, scratch), expected)
             # the step hands the weights over as the scratch's own cumsum
             scratch.cumsum[:] = w
@@ -406,7 +406,7 @@ class TestKernelsMatchPublic:
         w = weight_vector(n, seed, zero_fraction)
         rng, kernel_rng = RngStream(seed), RngStream(seed)
         expected = multinomial_resample(w, rng)
-        assert np.array_equal(_multinomial(w, kernel_rng, ResampleScratch(n)), expected)
+        assert np.array_equal(_multinomial(w, kernel_rng, _ResampleScratch(n)), expected)
         assert kernel_rng.uniform() == rng.uniform()
 
     @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ from smcfilter.resampling import (
     CLOSED_FORM_MIN_N,
     NotNormalized,
     ResamplePolicy,
-    ResampleScratch,
+    _ResampleScratch,
     _binary_search,
     _closed_form_search,
     _pinned_cumsum,
@@ -125,6 +125,29 @@ class TestSystematicResample:
         with pytest.raises(ValueError):
             systematic_resample(np.full(2, 0.5), -0.01)
 
+    @pytest.mark.parametrize(
+        "u", [0.3, np.float64(0.3), np.float32(0.3), np.array(0.3), 0, -0.0, _BELOW_ONE],
+        ids=["float", "float64", "float32", "0-d", "int", "minus-zero", "below-one"],
+    )
+    def test_any_real_offset_acts_as_its_float(self, u):
+        np.testing.assert_array_equal(
+            systematic_resample(GOLDEN_WEIGHTS, u), systematic_resample(GOLDEN_WEIGHTS, float(u))
+        )
+
+    @pytest.mark.parametrize(
+        "u, rule",
+        [(np.nan, "must be finite, got nan"), (np.inf, "must be finite, got inf"),
+         (-np.inf, "must be finite, got -inf"), (-1e-300, "must be in [0, 1), got -1e-300"),
+         (1.0, "must be in [0, 1), got 1.0"), ([0.5], "must be a real number, got [0.5]"),
+         (True, "must be a real number, got True"), (10**5000, "must be finite, got <16610-bit int>"),
+         ("0.5", "must be a real number, got '0.5'"), (None, "must be a real number, got None")],
+        ids=["nan", "inf", "minus-inf", "below-zero", "one", "list", "bool", "huge-int", "str", "none"],
+    )
+    def test_offset_rule_names_u(self, u, rule):
+        with pytest.raises(ArgumentError) as info:
+            systematic_resample(GOLDEN_WEIGHTS, u)
+        assert str(info.value) == f"u {rule}"
+
     def test_indices_nondecreasing(self):
         out = systematic_resample(GOLDEN_WEIGHTS, 0.77)
         assert np.all(np.diff(out) >= 0)
@@ -206,14 +229,14 @@ class TestClosedFormSearch:
         # the kernel in a scratch whose cumsum holds the weights, as the step
         # hands them over; a near tie returns the binary search's fresh
         # array, so only values are checked
-        scratch = ResampleScratch(w.size)
+        scratch = _ResampleScratch(w.size)
         scratch.cumsum[:] = w
         np.testing.assert_array_equal(_systematic(scratch.cumsum, u, scratch), expected)
 
     def test_away_from_a_tie_the_indices_are_the_scratch_s(self):
         w = np.random.default_rng(3).random(10_000)
         w /= w.sum()
-        scratch = ResampleScratch(w.size)
+        scratch = _ResampleScratch(w.size)
         got = _systematic(w, 0.3, scratch)
         assert got is scratch.indices
         np.testing.assert_array_equal(got, searchsorted_reference(w, 0.3))
@@ -221,7 +244,7 @@ class TestClosedFormSearch:
     @settings(max_examples=300, deadline=None)
     @given(shaped_weights(st.integers(1, 300)), OFFSETS)
     def test_matches_searchsorted_at_any_size(self, w, u):
-        scratch = ResampleScratch(w.size)
+        scratch = _ResampleScratch(w.size)
         got = _closed_form_search(_pinned_cumsum(w, scratch.cumsum), u, scratch)
         np.testing.assert_array_equal(got, searchsorted_reference(w, u))
 
@@ -279,7 +302,7 @@ class TestClosedFormPaths:
         w = np.full(n, 1.0 / n)
         w[:2] += [-0.3, 0.3]
         w[-2:] = [2.0 / n + 9e-7 - 1e-9, 1e-9]
-        got = _systematic(w, u, ResampleScratch(n))
+        got = _systematic(w, u, _ResampleScratch(n))
         np.testing.assert_array_equal(got, searchsorted_reference(w, u))
         assert fallback_calls == []
 
